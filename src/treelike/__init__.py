@@ -8,8 +8,6 @@ from .core import (
     PermutationTableau,
     StatRecord,
     TreeLikeTableau,
-    build_path,
-    corners,
     enumerate_nat,
     enumerate_pt,
     enumerate_tlt,
@@ -32,8 +30,6 @@ __all__ = [
     "PermutationTableau",
     "StatRecord",
     "TreeLikeTableau",
-    "build_path",
-    "corners",
     "enumerate_nat",
     "enumerate_pt",
     "enumerate_tlt",

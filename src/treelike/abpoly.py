@@ -47,10 +47,7 @@ class BivarPoly:
         return BivarPoly.from_dict(d)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        d = self.as_dict()
-        for k, v in other.coeffs:
-            d[k] = d.get(k, 0) - v
-        return BivarPoly.from_dict(d)
+        return self + other.scale(-1)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         d: dict[tuple[int, int], int] = {}

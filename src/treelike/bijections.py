@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -27,11 +27,33 @@ from .core import (
     TreeLikeTableau,
     enumerate_nat,
     enumerate_tlt,
+    first_col_points,
+    first_row_points,
     transpose_nat,
+    _bits,
 )
 
 # ---------------------------------------------------------------------------
 # column deletion
+
+
+def _top_rows(rows: tuple[int, ...], width: int) -> list[int]:
+    # row index of each column's topmost filled cell, -1 for an empty column
+    top = [-1] * width
+    seen = 0
+    for r, mask in enumerate(rows):
+        for c in _bits(mask & ~seen):
+            top[c] = r
+        seen |= mask
+    return top
+
+
+def _move_bits(mask: int, positions) -> int:
+    # move bit c of the mask to bit positions[c]
+    out = 0
+    for c in _bits(mask):
+        out |= 1 << positions[c]
+    return out
 
 
 def tlt_to_pt(t: TreeLikeTableau) -> PermutationTableau:
@@ -44,15 +66,7 @@ def tlt_to_pt(t: TreeLikeTableau) -> PermutationTableau:
     if t.is_degenerate:
         raise ValueError("no column to delete in a size-0 tableau")
     path = t.path
-    width = path.num_cols
-    top_row = [-1] * width
-    for r, mask in enumerate(t.rows):
-        m = mask
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
-            if top_row[c] < 0:
-                top_row[c] = r
+    top_row = _top_rows(t.rows, path.num_cols)
     new_rows = []
     for r, mask in enumerate(t.rows):
         lam = path.row_lengths[r]
@@ -78,18 +92,9 @@ def pt_to_tlt(p: PermutationTableau) -> TreeLikeTableau:
     one dot at its rightmost restricted 0, or in the new column if it has
     none."""
     path = p.path
-    width = path.num_cols
-    k = path.num_rows
-    new_rows = [0] * k
-    top_one = [-1] * width
-    for r, mask in enumerate(p.rows):
-        m = mask
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
-            if top_one[c] < 0:
-                top_one[c] = r
-                new_rows[r] |= 1 << (c + 1)
+    new_rows = [0] * path.num_rows
+    for c, r in enumerate(_top_rows(p.rows, path.num_cols)):
+        new_rows[r] |= 1 << (c + 1)
     above = 0
     for r, mask in enumerate(p.rows):
         lam = path.row_lengths[r]
@@ -136,14 +141,14 @@ def cut_at_corner(
     w_l = w_head - 1
     m_mask = (1 << w_head) - 1
     m_rows = [t.rows[r] & m_mask for r in range(r_c)]
+    col_union = 0
+    for m in m_rows:
+        col_union |= m
 
     if n - i == 0:
         t_l = EMPTY_ROW_TABLEAU
     else:
-        first = 0
-        for m in m_rows:
-            first |= m
-        first &= (1 << w_l) - 1
+        first = col_union & ((1 << w_l) - 1)
         t_l = TreeLikeTableau(
             BorderPath(SOUTH + steps[i + 1 :]), (first,) + t.rows[r_c:]
         )
@@ -158,20 +163,9 @@ def cut_at_corner(
         t_r = TreeLikeTableau(BorderPath(steps[: i - 1] + WEST), rows_r)
 
     kept_rows = [r for r in range(r_c) if m_rows[r]]
-    col_union = 0
-    for m in m_rows:
-        col_union |= m
     kept_cols = [c for c in range(w_head) if (col_union >> c) & 1]
     col_pos = {c: j for j, c in enumerate(kept_cols)}
-    nat_rows = []
-    for r in kept_rows:
-        m = m_rows[r]
-        out = 0
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
-            out |= 1 << col_pos[c]
-        nat_rows.append(out)
+    nat_rows = [_move_bits(m_rows[r], col_pos) for r in kept_rows]
     nat_path = BorderPath(SOUTH * len(kept_rows) + WEST * len(kept_cols))
     nat = NonAmbiguousTree(TreeLikeTableau(nat_path, tuple(nat_rows)))
     return t_l, t_r, nat
@@ -185,8 +179,8 @@ def glue(
         raise ValueError("degenerate left piece must be the empty-row tableau")
     if t_r.is_degenerate and t_r.path.steps != WEST:
         raise ValueError("degenerate right piece must be the empty-column tableau")
-    fr_l = t_l.rows[0].bit_count() if t_l.rows else 0
-    fc_r = sum(1 for m in t_r.rows if m & 1)
+    fr_l = first_row_points(t_l.rows)
+    fc_r = first_col_points(t_r.rows)
     if nat.width != fr_l:
         raise ValueError(
             f"tree width {nat.width} does not match left first-row dots {fr_l}"
@@ -206,15 +200,10 @@ def glue(
     designated_cols = [c for c in range(w_l) if (t_l.rows[0] >> c) & 1] if t_l.rows else []
     designated_cols.append(w_l)
 
-    row_m: dict[int, int] = {}
-    for a, r in enumerate(designated_rows):
-        m = nat.tableau.rows[a]
-        out = 0
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
-            out |= 1 << designated_cols[c]
-        row_m[r] = out
+    row_m = {
+        r: _move_bits(nat.tableau.rows[a], designated_cols)
+        for a, r in enumerate(designated_rows)
+    }
 
     masks = []
     for r in range(r_c - 1):
@@ -436,19 +425,25 @@ def _blocks(letters) -> list[list[ColoredLetter]]:
     return out
 
 
+def _swap_block_pairs(m: ColoredWord, idx: int) -> ColoredWord:
+    # swap each block pair after the pointed 0 at index idx
+    head = list(m.letters[: idx + 1])
+    blocks = _blocks(m.letters[idx + 1 :])
+    if len(blocks) % 2:
+        raise ValueError("the letters after the pointed 0 do not form block pairs")
+    for j in range(0, len(blocks), 2):
+        head.extend(blocks[j + 1])
+        head.extend(blocks[j])
+    return ColoredWord(tuple(head), m.h, m.w)
+
+
 def m_star(m: ColoredWord) -> ColoredWord:
     """Swap each unpointed/pointed block pair after the pointed 0; identity
     when the pointed 0 is last or followed by a pointed letter."""
     idx = _r0_index(m.letters)
     if idx == len(m.letters) - 1 or m.letters[idx + 1].pointed:
         return m
-    head = list(m.letters[: idx + 1])
-    blocks = _blocks(m.letters[idx + 1 :])
-    assert len(blocks) % 2 == 0
-    for j in range(0, len(blocks), 2):
-        head.extend(blocks[j + 1])
-        head.extend(blocks[j])
-    return ColoredWord(tuple(head), m.h, m.w)
+    return _swap_block_pairs(m, idx)
 
 
 def m_star_inverse(m: ColoredWord) -> ColoredWord:
@@ -456,14 +451,7 @@ def m_star_inverse(m: ColoredWord) -> ColoredWord:
     letter being unpointed."""
     if m.letters[-1].pointed:
         return m
-    idx = _r0_index(m.letters)
-    head = list(m.letters[: idx + 1])
-    blocks = _blocks(m.letters[idx + 1 :])
-    assert len(blocks) % 2 == 0
-    for j in range(0, len(blocks), 2):
-        head.extend(blocks[j + 1])
-        head.extend(blocks[j])
-    return ColoredWord(tuple(head), m.h, m.w)
+    return _swap_block_pairs(m, _r0_index(m.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +504,16 @@ def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
         while j < len(p) and p[j] != v and (p[j] < v) == small:
             block.append(p[j])
             j += 1
-        cur: list[int] = []
+        # a new cycle starts at each left-to-right maximum of the block
+        cycles: list[list[int]] = []
         for e in block:
-            if not cur or e > cur[0]:
-                if cur:
-                    cyc = tuple(cur)
-                    (small_cycles if small else big_cycles).append(cyc)
-                    appearance.append((small, cyc))
-                cur = [e]
+            if not cycles or e > cycles[-1][0]:
+                cycles.append([e])
             else:
-                cur.append(e)
-        cyc = tuple(cur)
-        (small_cycles if small else big_cycles).append(cyc)
-        appearance.append((small, cyc))
+                cycles[-1].append(e)
+        for cyc in map(tuple, cycles):
+            (small_cycles if small else big_cycles).append(cyc)
+            appearance.append((small, cyc))
 
     l_sorted = sorted(small_cycles, key=lambda c: c[0])
     l_rank = {c: idx + 1 for idx, c in enumerate(l_sorted)}
@@ -546,7 +531,8 @@ def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
             letters.append(ColoredLetter(r_rank[tuple(x - v for x in cyc)], False))
     word = ColoredWord(tuple(letters), len(l_sorted), len(r_sorted))
     word = m_star_inverse(word)
-    assert word.is_valid()
+    if not word.is_valid():
+        raise ValueError("the block order does not give a valid colored word")
     return CycleForm(tuple(l_sorted)), CycleForm(tuple(r_sorted)), word
 
 
@@ -554,79 +540,58 @@ def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
 # rank tables and the corner-to-run map
 
 
-def _first_row_points(t: TreeLikeTableau) -> int:
-    return t.rows[0].bit_count() if t.rows else 0
-
-
-def _first_col_points(t: TreeLikeTableau) -> int:
-    return sum(1 for m in t.rows if m & 1)
-
-
-@lru_cache(maxsize=None)
-def _tlts_by_fr(n: int):
-    if n == 0:
-        return {0: [EMPTY_ROW_TABLEAU]}, {EMPTY_ROW_TABLEAU: 0}
-    buckets: dict[int, list] = {}
-    for t in enumerate_tlt(n):
-        buckets.setdefault(_first_row_points(t), []).append(t)
-    ranks = {t: i for lst in buckets.values() for i, t in enumerate(lst)}
+def _bucket(items, key) -> tuple[dict, dict]:
+    """Group items by key, keeping their order; an item's rank is its
+    position inside its group."""
+    buckets: dict = {}
+    for x in items:
+        buckets.setdefault(key(x), []).append(x)
+    ranks = {x: i for lst in buckets.values() for i, x in enumerate(lst)}
     return buckets, ranks
 
 
 @lru_cache(maxsize=None)
-def _tlts_by_fc(n: int):
-    if n == 0:
-        return {0: [EMPTY_COL_TABLEAU]}, {EMPTY_COL_TABLEAU: 0}
-    buckets: dict[int, list] = {}
-    for t in enumerate_tlt(n):
-        buckets.setdefault(_first_col_points(t), []).append(t)
-    ranks = {t: i for lst in buckets.values() for i, t in enumerate(lst)}
-    return buckets, ranks
+def _tlts_by(stat, n: int):
+    """Tableaux of size n bucketed by a first-row or first-column count.
+    Size 0 holds the one degenerate piece that cutting leaves on that side."""
+    if n:
+        items = enumerate_tlt(n)
+    else:
+        items = [EMPTY_ROW_TABLEAU if stat is first_row_points else EMPTY_COL_TABLEAU]
+    return _bucket(items, lambda t: stat(t.rows))
 
 
 @lru_cache(maxsize=None)
 def _perms_by_cycles(n: int):
-    if n == 0:
-        return {0: [()]}, {(): 0}
     from .counting import cycle_count
 
-    buckets: dict[int, list] = {}
-    for p in permutations(range(1, n + 1)):
-        buckets.setdefault(cycle_count(p), []).append(p)
-    ranks = {p: i for lst in buckets.values() for i, p in enumerate(lst)}
-    return buckets, ranks
+    return _bucket(permutations(range(1, n + 1)), cycle_count)
 
 
 @lru_cache(maxsize=None)
-def _nats(h: int, w: int):
-    lst = list(enumerate_nat(h, w))
-    return lst, {nat: i for i, nat in enumerate(lst)}
-
-
-@lru_cache(maxsize=None)
-def _words(h: int, w: int):
-    lst = list(enumerate_colored_words(h, w))
-    return lst, {word: i for i, word in enumerate(lst)}
+def _grid(h: int, w: int):
+    """Trees of the (h, w) grid and words on the (h, w) alphabet, bucketed
+    by type; the i-th tree pairs with the i-th word."""
+    return _bucket(chain(enumerate_nat(h, w), enumerate_colored_words(h, w)), type)
 
 
 def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
     """Cut at the corner, recode each piece by its rank inside its
     statistic class, and substitute into a marked-run permutation."""
     t_l, t_r, nat = cut_at_corner(t, corner)
-    fr_l = _first_row_points(t_l)
-    fc_r = _first_col_points(t_r)
+    fr_l = first_row_points(t_l.rows)
+    fc_r = first_col_points(t_r.rows)
 
-    _, ranks_l = _tlts_by_fr(t_l.size)
+    _, ranks_l = _tlts_by(first_row_points, t_l.size)
     perms_l, _ = _perms_by_cycles(t_l.size)
     l_cycles = CycleForm.from_permutation(perms_l[fr_l][ranks_l[t_l]])
 
-    _, ranks_r = _tlts_by_fc(t_r.size)
+    _, ranks_r = _tlts_by(first_col_points, t_r.size)
     perms_r, _ = _perms_by_cycles(t_r.size)
     r_cycles = CycleForm.from_permutation(perms_r[fc_r][ranks_r[t_r]])
 
-    _, nat_ranks = _nats(fr_l, fc_r)
-    words, _ = _words(fr_l, fc_r)
-    m = words[nat_ranks[transpose_nat(nat)]]
+    grid, ranks = _grid(fr_l, fc_r)
+    m = grid[ColoredWord][ranks[transpose_nat(nat)]]
     return triplet_to_run(l_cycles, r_cycles, m)
 
 
@@ -634,15 +599,14 @@ def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
     """Inverse of the corner-to-run map."""
     l_cycles, r_cycles, m = run_to_triplet(mr)
 
-    buckets_l, _ = _tlts_by_fr(l_cycles.size)
+    buckets_l, _ = _tlts_by(first_row_points, l_cycles.size)
     _, perm_ranks_l = _perms_by_cycles(l_cycles.size)
     t_l = buckets_l[m.h][perm_ranks_l[l_cycles.to_permutation()]]
 
-    buckets_r, _ = _tlts_by_fc(r_cycles.size)
+    buckets_r, _ = _tlts_by(first_col_points, r_cycles.size)
     _, perm_ranks_r = _perms_by_cycles(r_cycles.size)
     t_r = buckets_r[m.w][perm_ranks_r[r_cycles.to_permutation()]]
 
-    nats, _ = _nats(m.h, m.w)
-    _, word_ranks = _words(m.h, m.w)
-    nat = transpose_nat(nats[word_ranks[m]])
+    grid, ranks = _grid(m.h, m.w)
+    nat = transpose_nat(grid[NonAmbiguousTree][ranks[m]])
     return glue(t_l, t_r, nat)

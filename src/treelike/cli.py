@@ -14,12 +14,14 @@ import sys
 
 from . import bijections, verify
 from .core import (
+    Cell,
     enumerate_nat,
     enumerate_pt,
     enumerate_tlt,
+    parse_nat,
     parse_tlt,
     parse_pt,
-    to_json_obj,
+    to_json,
     to_text,
 )
 
@@ -34,7 +36,7 @@ def _emit_objects(objs, fmt: str, limit, out) -> None:
             break
         count += 1
         if fmt == "json":
-            out.write(json.dumps(to_json_obj(obj), separators=(",", ":")) + "\n")
+            out.write(to_json(obj) + "\n")
         else:
             if not first:
                 out.write(SEPARATOR + "\n")
@@ -43,6 +45,9 @@ def _emit_objects(objs, fmt: str, limit, out) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        print("enumerate: --limit must be at least 0", file=sys.stderr)
+        return 2
     if args.object in ("tlt", "pt"):
         if args.size is None:
             print("enumerate: --size is required for tlt and pt", file=sys.stderr)
@@ -58,8 +63,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        print("verify: --jobs must be at least 1", file=sys.stderr)
+        return 2
     names = verify.CHECK_NAMES if args.check == "all" else [args.check]
     rows = verify.run_checks(names, max_n=args.max_n, long=args.long, jobs=args.jobs)
+    if not rows:
+        print("verify: no sizes to check in the requested range", file=sys.stderr)
+        return 2
     if args.format == "json":
         print(json.dumps([r.json_obj() for r in rows], indent=2))
     else:
@@ -110,14 +121,10 @@ def _cmd_biject(args) -> int:
             print("biject: --corner is required for cut", file=sys.stderr)
             return 2
         t = parse_tlt(text)
-        from .core import Cell
-
         t_l, t_r, nat = bijections.cut_at_corner(t, Cell(args.corner, args.corner + 1))
         parts = [to_text(t_l), to_text(t_r), to_text(nat)]
         print(("\n" + SEPARATOR + "\n").join(parts))
     elif args.map == "glue":
-        from .core import parse_nat
-
         chunks = _read_object_stream(text, 3)
         t_l = parse_tlt(chunks[0])
         t_r = parse_tlt(chunks[1])

@@ -13,12 +13,22 @@ cell at column index c, counted from the left.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import product
 from typing import Iterator, NamedTuple
 
 SOUTH = "S"
 WEST = "W"
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Cell(NamedTuple):
@@ -77,17 +87,7 @@ class BorderPath:
     def row_lengths(self) -> tuple[int, ...]:
         """Cells per row; row i holds the columns with labels above i."""
         cols = self.col_labels
-        out = []
-        for r in self.row_labels:
-            lo, hi = 0, len(cols)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cols[mid] > r:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            out.append(len(cols) - lo)
-        return tuple(out)
+        return tuple(len(cols) - bisect_right(cols, r) for r in self.row_labels)
 
     def row_index(self, row_label: int) -> int:
         return self.row_labels.index(row_label)
@@ -123,18 +123,6 @@ class BorderPath:
             r = self.row_index(cell.row)
             out.append((r, self.row_lengths[r] - 1))
         return tuple(out)
-
-
-def build_path(steps: str) -> BorderPath:
-    return BorderPath(steps)
-
-
-def corners(path: BorderPath) -> list[Cell]:
-    return list(path.corner_cells)
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
 
 
 @dataclass(frozen=True)
@@ -196,7 +184,7 @@ class TreeLikeTableau:
 
     @property
     def size(self) -> int:
-        return sum(_popcount(m) for m in self.rows)
+        return sum(m.bit_count() for m in self.rows)
 
     @property
     def is_degenerate(self) -> bool:
@@ -208,16 +196,17 @@ class TreeLikeTableau:
         cols_desc = sorted(self.path.col_labels, reverse=True)
         for r, mask in enumerate(self.rows):
             row_label = self.path.row_labels[r]
-            m = mask
-            while m:
-                c = (m & -m).bit_length() - 1
-                m &= m - 1
-                out.append(Cell(row_label, cols_desc[c]))
+            out.extend(Cell(row_label, cols_desc[c]) for c in _bits(mask))
         return frozenset(out)
 
     def has_dot(self, cell: Cell) -> bool:
         r = self.path.row_index(cell.row)
         return bool((self.rows[r] >> self.path.col_index(cell.col)) & 1)
+
+
+# the two size-0 tableaux used by corner cutting
+EMPTY_ROW_TABLEAU = TreeLikeTableau(BorderPath(SOUTH), (0,))
+EMPTY_COL_TABLEAU = TreeLikeTableau(BorderPath(WEST), ())
 
 
 @dataclass(frozen=True)
@@ -281,6 +270,16 @@ class NonAmbiguousTree:
         return self.tableau.path.num_cols - 1
 
 
+def first_row_points(rows: tuple[int, ...]) -> int:
+    """Dots in the top row; 0 when there is no row."""
+    return rows[0].bit_count() if rows else 0
+
+
+def first_col_points(rows: tuple[int, ...]) -> int:
+    """Dots in the leftmost column."""
+    return sum(1 for m in rows if m & 1)
+
+
 def stats_of(t: TreeLikeTableau) -> StatRecord:
     """All corner and first-row/first-column statistics of a tableau."""
     occ = 0
@@ -288,8 +287,8 @@ def stats_of(t: TreeLikeTableau) -> StatRecord:
     for r, c in t.path.corner_grid_positions:
         if (t.rows[r] >> c) & 1:
             occ += 1
-    fr = _popcount(t.rows[0]) if t.rows else 0
-    fc = sum(1 for m in t.rows if m & 1)
+    fr = first_row_points(t.rows)
+    fc = first_col_points(t.rows)
     return StatRecord(
         corners=cor,
         occupiedCorners=occ,
@@ -305,6 +304,7 @@ NOC_CLASS_AB = "AB"
 NOC_CLASS_A1 = "A1"
 NOC_CLASS_1B = "1B"
 NOC_CLASS_ONE_ONE = "OneOne"
+NOC_CLASSES = (NOC_CLASS_AB, NOC_CLASS_A1, NOC_CLASS_1B, NOC_CLASS_ONE_ONE)
 
 
 def noc_class(t: TreeLikeTableau, c: Cell) -> str:
@@ -321,19 +321,16 @@ def noc_class(t: TreeLikeTableau, c: Cell) -> str:
     ci = t.path.col_index(c.col)
     if (t.rows[r] >> ci) & 1:
         raise ValueError(f"{c} is an occupied corner")
-    col_ok = not any((t.rows[rr] >> ci) & 1 for rr in range(1, r))
-    row_ok = t.rows[r] & ~1 == 0
-    if col_ok and row_ok:
-        return NOC_CLASS_AB
+    return _noc_class_at(t.rows, r, ci)
+
+
+def _noc_class_at(rows: tuple[int, ...], r: int, c: int) -> str:
+    # the class of the undotted corner at row index r, column index c
+    col_ok = not any((rows[rr] >> c) & 1 for rr in range(1, r))
+    row_ok = rows[r] & ~1 == 0
     if col_ok:
-        return NOC_CLASS_A1
-    if row_ok:
-        return NOC_CLASS_1B
-    return NOC_CLASS_ONE_ONE
-
-
-EMPTY_ROW_TABLEAU = None  # assigned after class definitions
-EMPTY_COL_TABLEAU = None
+        return NOC_CLASS_AB if row_ok else NOC_CLASS_A1
+    return NOC_CLASS_1B if row_ok else NOC_CLASS_ONE_ONE
 
 
 def transpose(t: TreeLikeTableau) -> TreeLikeTableau:
@@ -341,10 +338,7 @@ def transpose(t: TreeLikeTableau) -> TreeLikeTableau:
     steps = "".join(SOUTH if ch == WEST else WEST for ch in reversed(t.path.steps))
     heights = [0] * t.path.num_cols
     for r, mask in enumerate(t.rows):
-        m = mask
-        while m:
-            c = (m & -m).bit_length() - 1
-            m &= m - 1
+        for c in _bits(mask):
             heights[c] |= 1 << r
     return TreeLikeTableau(BorderPath(steps), tuple(heights))
 
@@ -359,59 +353,54 @@ def transpose_nat(nat: NonAmbiguousTree) -> NonAmbiguousTree:
 
 def _tlt_paths(n: int) -> Iterator[str]:
     # lexicographic with S < W; first step S and last step W are forced
-    if n == 1:
-        yield SOUTH + WEST
-        return
-    for mid in range(1 << (n - 1)):
-        inner = "".join(WEST if (mid >> (n - 2 - j)) & 1 else SOUTH for j in range(n - 1))
-        yield SOUTH + inner + WEST
+    for inner in product(SOUTH + WEST, repeat=n - 1):
+        yield SOUTH + "".join(inner) + WEST
 
 
 def _pt_paths(n: int) -> Iterator[str]:
-    if n == 1:
-        yield SOUTH
-        return
-    for mid in range(1 << (n - 1)):
-        inner = "".join(WEST if (mid >> (n - 2 - j)) & 1 else SOUTH for j in range(n - 1))
-        yield SOUTH + inner
+    # column deletion: a permutation tableau's border is a tree-like border
+    # without its last W
+    for steps in _tlt_paths(n):
+        yield steps[:-1]
 
 
-def _col_last_rows(lengths: tuple[int, ...], width: int) -> list[int]:
-    # bottom-most row holding each column index
-    last = [-1] * width
+# What one cell may hold, indexed by (has a filled cell to its left) * 2 +
+# (has a filled cell above it): bit 1 allows empty, bit 2 allows filled.
+_EMPTY, _FILLED, _EITHER = 1, 2, 3
+_TLT_ROOT = (_FILLED,) * 4
+# a dot needs exactly one parent, to its left or above it
+_TLT_CELL = (_EMPTY, _EITHER, _EITHER, _EMPTY)
+# ... and the last cell of a row that is still empty must be dotted
+_TLT_ROW_END = (0, _FILLED, _EITHER, _EMPTY)
+# a 0 may not have a 1 both above it and to its left
+_PT_CELL = (_EITHER, _EITHER, _EITHER, _FILLED)
+
+
+def _fillings(lengths: tuple[int, ...], width: int, rules) -> Iterator[tuple[int, ...]]:
+    """Row-major fillings, empty before filled, where rules[r][c] says what
+    cell (r, c) may hold and every column must end up holding a filled cell.
+    Yields one bitmask per row."""
+    k = len(lengths)
+    full = (1 << width) - 1
+    col_last = [-1] * width  # bottom-most row holding each column index
     for r, lam in enumerate(lengths):
         for c in range(lam):
-            last[c] = r
-    return last
-
-
-def tlt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
-    """All valid dot placements for a tree-like shape, in row-major order
-    with empty before dot. Yields one bitmask per row."""
-    k = len(lengths)
-    col_last = _col_last_rows(lengths, width)
+            col_last[c] = r
     rows: list[int] = [0] * k
 
     def fill(r: int, c: int, above: int, covered: int) -> Iterator[tuple[int, ...]]:
         if c == lengths[r]:
             if r + 1 == k:
-                if covered == (1 << width) - 1:
+                if covered == full:
                     yield tuple(rows)
             else:
                 yield from fill(r + 1, 0, above | rows[r], covered)
             return
-        mask = rows[r]
-        root = r == 0 and c == 0
-        if root:
-            can_dot = True
-        else:
-            can_dot = bool(mask & ((1 << c) - 1)) != bool((above >> c) & 1)
-        must_dot = (c == lengths[r] - 1 and mask == 0) or (
-            col_last[c] == r and not (covered >> c) & 1
-        )
-        if not must_dot and not root:
+        mask = rows[r]  # holds only cells left of c
+        may = rules[r][c][(2 if mask else 0) | ((above >> c) & 1)]
+        if may & _EMPTY and not (col_last[c] == r and not (covered >> c) & 1):
             yield from fill(r, c + 1, above, covered)
-        if can_dot:
+        if may & _FILLED:
             rows[r] = mask | (1 << c)
             yield from fill(r, c + 1, above, covered | (1 << c))
             rows[r] = mask
@@ -419,30 +408,24 @@ def tlt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ..
     yield from fill(0, 0, 0, 0)
 
 
+def tlt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
+    """All valid dot placements for a tree-like shape, in row-major order
+    with empty before dot. Yields one bitmask per row."""
+    rules = []
+    for r, lam in enumerate(lengths):
+        row = [_TLT_CELL] * lam
+        if lam:
+            row[-1] = _TLT_ROW_END
+            if r == 0:
+                row[0] = _TLT_ROOT
+        rules.append(row)
+    yield from _fillings(lengths, width, rules)
+
+
 def pt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
     """All valid 0/1 fillings for a permutation-tableau shape, row-major,
     0 before 1."""
-    k = len(lengths)
-    col_last = _col_last_rows(lengths, width)
-    rows: list[int] = [0] * k
-
-    def fill(r: int, c: int, above: int, covered: int) -> Iterator[tuple[int, ...]]:
-        if c == lengths[r]:
-            if r + 1 == k:
-                if covered == (1 << width) - 1:
-                    yield tuple(rows)
-            else:
-                yield from fill(r + 1, 0, above | rows[r], covered)
-            return
-        mask = rows[r]
-        zero_ok = not ((above >> c) & 1 and mask & ((1 << c) - 1))
-        if zero_ok and not (col_last[c] == r and not (covered >> c) & 1):
-            yield from fill(r, c + 1, above, covered)
-        rows[r] = mask | (1 << c)
-        yield from fill(r, c + 1, above, covered | (1 << c))
-        rows[r] = mask
-
-    yield from fill(0, 0, 0, 0)
+    yield from _fillings(lengths, width, [(_PT_CELL,) * lam for lam in lengths])
 
 
 def enumerate_tlt(n: int) -> Iterator[TreeLikeTableau]:
@@ -480,47 +463,27 @@ def enumerate_nat(h: int, w: int) -> Iterator[NonAmbiguousTree]:
 # ---------------------------------------------------------------------------
 # serialization
 
-_TLT_CHARS = (".", "o")
-_PT_CHARS = ("0", "1")
+_CHARS = {TreeLikeTableau: ".o", PermutationTableau: "01"}
 
 
-def _rows_to_lines(rows: tuple[int, ...], lengths: tuple[int, ...], chars) -> list[str]:
-    empty, full = chars
-    return [
+def _path_and_lines(obj) -> tuple[str, list[str]]:
+    if isinstance(obj, NonAmbiguousTree):
+        obj = obj.tableau
+    empty, full = _CHARS[type(obj)]
+    lines = [
         "".join(full if (mask >> c) & 1 else empty for c in range(lam))
-        for mask, lam in zip(rows, lengths)
+        for mask, lam in zip(obj.rows, obj.path.row_lengths)
     ]
+    return obj.path.steps, lines
 
 
 def to_text(obj) -> str:
     """One path line then one line per row; dots are 'o', ones are '1'."""
-    if isinstance(obj, NonAmbiguousTree):
-        obj = obj.tableau
-    chars = _PT_CHARS if isinstance(obj, PermutationTableau) else _TLT_CHARS
-    lines = [obj.path.steps]
-    lines += _rows_to_lines(obj.rows, obj.path.row_lengths, chars)
-    return "\n".join(lines)
+    steps, lines = _path_and_lines(obj)
+    return "\n".join([steps] + lines)
 
 
-def _lines_to_rows(lines: list[str], lengths: tuple[int, ...], chars) -> tuple[int, ...]:
-    empty, full = chars
-    if len(lines) != len(lengths):
-        raise ValueError(f"expected {len(lengths)} row lines, got {len(lines)}")
-    rows = []
-    for line, lam in zip(lines, lengths):
-        if len(line) != lam:
-            raise ValueError(f"row line {line!r} should have length {lam}")
-        mask = 0
-        for c, ch in enumerate(line):
-            if ch == full:
-                mask |= 1 << c
-            elif ch != empty:
-                raise ValueError(f"bad character {ch!r} in row line")
-        rows.append(mask)
-    return tuple(rows)
-
-
-def _split_object_lines(text: str) -> tuple[BorderPath, list[str]]:
+def _parse(text: str, cls):
     # rows of length zero are empty lines, so trailing blanks are data:
     # keep exactly as many row lines as the path demands, padding short input
     lines = text.split("\n")
@@ -531,19 +494,29 @@ def _split_object_lines(text: str) -> tuple[BorderPath, list[str]]:
         body.pop()
     while len(body) < need:
         body.append("")
-    return path, body
+    if len(body) != need:
+        raise ValueError(f"expected {need} row lines, got {len(body)}")
+    empty, full = _CHARS[cls]
+    rows = []
+    for line, lam in zip(body, path.row_lengths):
+        if len(line) != lam:
+            raise ValueError(f"row line {line!r} should have length {lam}")
+        mask = 0
+        for c, ch in enumerate(line):
+            if ch == full:
+                mask |= 1 << c
+            elif ch != empty:
+                raise ValueError(f"bad character {ch!r} in row line")
+        rows.append(mask)
+    return cls(path, tuple(rows))
 
 
 def parse_tlt(text: str) -> TreeLikeTableau:
-    path, body = _split_object_lines(text)
-    rows = _lines_to_rows(body, path.row_lengths, _TLT_CHARS)
-    return TreeLikeTableau(path, rows)
+    return _parse(text, TreeLikeTableau)
 
 
 def parse_pt(text: str) -> PermutationTableau:
-    path, body = _split_object_lines(text)
-    rows = _lines_to_rows(body, path.row_lengths, _PT_CHARS)
-    return PermutationTableau(path, rows)
+    return _parse(text, PermutationTableau)
 
 
 def parse_nat(text: str) -> NonAmbiguousTree:
@@ -551,24 +524,9 @@ def parse_nat(text: str) -> NonAmbiguousTree:
 
 
 def to_json_obj(obj) -> dict:
-    if isinstance(obj, NonAmbiguousTree):
-        obj = obj.tableau
-    chars = _PT_CHARS if isinstance(obj, PermutationTableau) else _TLT_CHARS
-    return {
-        "path": obj.path.steps,
-        "rows": _rows_to_lines(obj.rows, obj.path.row_lengths, chars),
-    }
+    steps, lines = _path_and_lines(obj)
+    return {"path": steps, "rows": lines}
 
 
 def to_json(obj) -> str:
     return json.dumps(to_json_obj(obj), separators=(",", ":"))
-
-
-# the two size-0 tableaux used by corner cutting
-EMPTY_ROW_TABLEAU = TreeLikeTableau(BorderPath(SOUTH), (0,))
-EMPTY_COL_TABLEAU = TreeLikeTableau(BorderPath(WEST), ())
-
-
-@lru_cache(maxsize=None)
-def tlt_count(n: int) -> int:
-    return sum(1 for _ in enumerate_tlt(n))

@@ -1,7 +1,7 @@
 """Closed-form counts, permutation statistics and exhaustive surveys.
 
 Formulas divide factored binomial products, never floats; every division
-asserts exact divisibility. Surveys walk the full object catalogue for one
+checks exact divisibility. Surveys walk the full object catalogue for one
 size and tally every statistic in a single pass, so the expensive sweeps
 are shared across checks.
 """
@@ -14,10 +14,14 @@ from itertools import permutations
 from math import comb, factorial
 
 from .core import (
+    NOC_CLASSES,
     SOUTH,
     BorderPath,
+    first_col_points,
+    first_row_points,
     pt_fillings,
     tlt_fillings,
+    _noc_class_at,
     _pt_paths,
     _tlt_paths,
 )
@@ -25,7 +29,8 @@ from .core import (
 
 def exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
-    assert r == 0, f"{num} not divisible by {den}"
+    if r:
+        raise ValueError(f"{num} not divisible by {den}")
     return q
 
 
@@ -181,7 +186,6 @@ class PermSurvey:
     count: int = 0
     bi_counts: dict[int, int] = field(default_factory=dict)
     runs1_total: int = 0
-    runs1_by_value: dict[int, int] = field(default_factory=dict)
     cycle_dist: dict[int, int] = field(default_factory=dict)
     displacement_total: int = 0
     interior_dd_total: int = 0
@@ -197,16 +201,13 @@ def perm_survey(n: int) -> PermSurvey:
         raise ValueError("size must be positive")
     s = PermSurvey(n)
     s.bi_counts = {i: 0 for i in range(1, n)}
-    s.runs1_by_value = {v: 0 for v in range(1, n + 1)}
     for p in permutations(range(1, n + 1)):
         s.count += 1
         asc = ascent_values(p)
         for i in range(1, n):
             if i in asc and i + 1 not in asc:
                 s.bi_counts[i] += 1
-        for j in runs_of_size_1(p):
-            s.runs1_total += 1
-            s.runs1_by_value[p[j - 1]] += 1
+        s.runs1_total += len(runs_of_size_1(p))
         k = cycle_count(p)
         s.cycle_dist[k] = s.cycle_dist.get(k, 0) + 1
         s.displacement_total += displacement(p)
@@ -248,7 +249,7 @@ def tlt_survey(n: int) -> TltSurvey:
     if n < 1:
         raise ValueError("size must be positive")
     s = TltSurvey(n)
-    s.class_weight = {c: {} for c in ("AB", "A1", "1B", "OneOne")}
+    s.class_weight = {c: {} for c in NOC_CLASSES}
     for steps in _tlt_paths(n):
         path = BorderPath(steps)
         lengths = path.row_lengths
@@ -261,8 +262,8 @@ def tlt_survey(n: int) -> TltSurvey:
             s.count += 1
             s.corners_total += len(cpos)
             s.transfer_delta_total += delta
-            fr = rows[0].bit_count()
-            fc = sum(1 for m in rows if m & 1)
+            fr = first_row_points(rows)
+            fc = first_col_points(rows)
             key = (fr - 1, fc - 1)
             s.weight[key] = s.weight.get(key, 0) + 1
             s.fc_dist[fc] = s.fc_dist.get(fc, 0) + 1
@@ -271,22 +272,11 @@ def tlt_survey(n: int) -> TltSurvey:
             s.rows_weight[rk] = s.rows_weight.get(rk, 0) + 1
             occ = 0
             for (r, c), label in zip(cpos, clabels):
+                s.corner_pos[label] = s.corner_pos.get(label, 0) + 1
                 if (rows[r] >> c) & 1:
                     occ += 1
-                    s.corner_pos[label] = s.corner_pos.get(label, 0) + 1
                 else:
-                    s.corner_pos[label] = s.corner_pos.get(label, 0) + 1
-                    col_ok = not any((rows[rr] >> c) & 1 for rr in range(1, r))
-                    row_ok = rows[r] & ~1 == 0
-                    if col_ok and row_ok:
-                        cls = "AB"
-                    elif col_ok:
-                        cls = "A1"
-                    elif row_ok:
-                        cls = "1B"
-                    else:
-                        cls = "OneOne"
-                    cw = s.class_weight[cls]
+                    cw = s.class_weight[_noc_class_at(rows, r, c)]
                     cw[key] = cw.get(key, 0) + 1
             s.occupied_total += occ
             s.noc_total += len(cpos) - occ
@@ -317,9 +307,7 @@ def pt_survey(n: int) -> PtSurvey:
         ncor = len(path.corner_cells)
         clabels = [c.row for c in path.corner_cells]
         ends_south = steps[-1] == SOUTH
-        cnt = 0
-        for _ in pt_fillings(path.row_lengths, path.num_cols):
-            cnt += 1
+        cnt = sum(1 for _ in pt_fillings(path.row_lengths, path.num_cols))
         s.count += cnt
         s.corners_total += ncor * cnt
         for label in clabels:

@@ -16,7 +16,7 @@ from itertools import permutations
 from math import factorial
 
 from . import abpoly, bijections, counting
-from .core import enumerate_pt, enumerate_tlt
+from .core import enumerate_pt, enumerate_tlt, first_col_points, first_row_points
 from .counting import perm_survey, pt_survey, tlt_survey
 
 
@@ -53,14 +53,14 @@ def _dist_str(d: dict[int, int]) -> str:
     return ",".join(f"{k}:{v}" for k, v in sorted(d.items()))
 
 
-def _check_corners_tlt(n):
-    return [
-        (
-            "corners-tlt",
-            str(counting.tlt_corner_count(n)),
-            str(tlt_survey(n).corners_total),
-        )
-    ]
+def _one_row(name, min_n, default_max, long_max, expected, actual) -> CheckSpec:
+    """A check whose one row compares a closed form with one sweep value.
+    Both sides are callables of n, so the functions they name are looked up
+    when the check runs, not when the registry is built."""
+    def fn(n):
+        return [(name, str(expected(n)), str(actual(n)))]
+
+    return CheckSpec(name, min_n, default_max, long_max, fn)
 
 
 def _check_corners_pt(n):
@@ -75,30 +75,12 @@ def _check_corners_pt(n):
     ]
 
 
-def _check_occupied(n):
-    return [
-        ("occupied", str(counting.occupied_count(n)), str(tlt_survey(n).occupied_total))
-    ]
-
-
-def _check_noc(n):
-    return [("noc", str(counting.noc_count(n)), str(tlt_survey(n).noc_total))]
-
-
-def _check_xn(n):
-    return [("xn", str(counting.xn_count(n)), str(pt_survey(n).last_south))]
-
-
 def _check_bi(n):
     formulas = [counting.formula_bi(n, i) for i in range(1, n)]
     brute = [perm_survey(n).bi_counts[i] for i in range(1, n)]
     exp = ",".join(map(str, formulas)) + ";" + str(counting.pt_corner_count(n))
     act = ",".join(map(str, brute)) + ";" + str(sum(brute))
     return [("bi", exp, act)]
-
-
-def _check_runs1(n):
-    return [("runs1", str(counting.runs1_total(n)), str(perm_survey(n).runs1_total))]
 
 
 def _check_corner_transfer(n):
@@ -139,8 +121,8 @@ def _check_cut_roundtrip(n):
             if t_l.size + t_r.size + 1 != n:
                 bad += 1
                 continue
-            fr_l = t_l.rows[0].bit_count() if t_l.rows else 0
-            fc_r = sum(1 for m in t_r.rows if m & 1)
+            fr_l = first_row_points(t_l.rows)
+            fc_r = first_col_points(t_r.rows)
             if nat.width != fr_l or nat.height != fc_r:
                 bad += 1
                 continue
@@ -208,14 +190,6 @@ def _check_displacement(n):
     return rows
 
 
-def _check_tn_ab(n):
-    return [("tn-ab", str(abpoly.t_poly(n)), str(abpoly.weight_sum(n)))]
-
-
-def _check_occupied_ab(n):
-    return [("occupied-ab", str(abpoly.t_poly(n)), str(abpoly.occupied_ab(n)))]
-
-
 def _check_noc_conjecture(n):
     exp = abpoly.conjecture_noc_ab(n)
     act = abpoly.noc_ab(n)
@@ -260,16 +234,6 @@ def _check_euler_ab(n):
     ]
 
 
-def _check_euler_derivative(n):
-    return [
-        (
-            "euler-derivative",
-            str(abpoly.euler_derivative_closed_form(n)),
-            str(abpoly.euler_derivative_at_1(n)),
-        )
-    ]
-
-
 def _check_expected_jumps(n):
     defining = abpoly.expected_jumps_defining(n)
     closed = abpoly.expected_jumps_closed_form(n)
@@ -295,13 +259,18 @@ def _check_expected_jumps(n):
 
 
 CHECKS: list[CheckSpec] = [
-    CheckSpec("corners-tlt", 1, 8, 9, _check_corners_tlt),
+    _one_row("corners-tlt", 1, 8, 9, lambda n: counting.tlt_corner_count(n),
+             lambda n: tlt_survey(n).corners_total),
     CheckSpec("corners-pt", 1, 8, 9, _check_corners_pt),
-    CheckSpec("occupied", 1, 8, 9, _check_occupied),
-    CheckSpec("noc", 1, 8, 9, _check_noc),
-    CheckSpec("xn", 1, 8, 9, _check_xn),
+    _one_row("occupied", 1, 8, 9, lambda n: counting.occupied_count(n),
+             lambda n: tlt_survey(n).occupied_total),
+    _one_row("noc", 1, 8, 9, lambda n: counting.noc_count(n),
+             lambda n: tlt_survey(n).noc_total),
+    _one_row("xn", 1, 8, 9, lambda n: counting.xn_count(n),
+             lambda n: pt_survey(n).last_south),
     CheckSpec("bi", 2, 8, 9, _check_bi),
-    CheckSpec("runs1", 1, 9, 10, _check_runs1),
+    _one_row("runs1", 1, 9, 10, lambda n: counting.runs1_total(n),
+             lambda n: perm_survey(n).runs1_total),
     CheckSpec("corner-transfer", 1, 8, 9, _check_corner_transfer),
     CheckSpec("phi-roundtrip", 1, 7, 8, _check_phi_roundtrip),
     CheckSpec("cut-roundtrip", 1, 7, 8, _check_cut_roundtrip),
@@ -309,12 +278,16 @@ CHECKS: list[CheckSpec] = [
     CheckSpec("corner-run-bijection", 1, 7, 8, _check_corner_run_bijection),
     CheckSpec("stirling", 1, 8, 9, _check_stirling),
     CheckSpec("displacement", 1, 8, 9, _check_displacement),
-    CheckSpec("tn-ab", 1, 8, 9, _check_tn_ab),
-    CheckSpec("occupied-ab", 1, 8, 9, _check_occupied_ab),
+    _one_row("tn-ab", 1, 8, 9, lambda n: abpoly.t_poly(n),
+             lambda n: abpoly.weight_sum(n)),
+    _one_row("occupied-ab", 1, 8, 9, lambda n: abpoly.t_poly(n),
+             lambda n: abpoly.occupied_ab(n)),
     CheckSpec("noc-conjecture", 3, 9, 10, _check_noc_conjecture),
     CheckSpec("noc-classes", 3, 8, 9, _check_noc_classes),
     CheckSpec("euler-ab", 1, 8, 9, _check_euler_ab),
-    CheckSpec("euler-derivative", 2, 10, 12, _check_euler_derivative),
+    _one_row("euler-derivative", 2, 10, 12,
+             lambda n: abpoly.euler_derivative_closed_form(n),
+             lambda n: abpoly.euler_derivative_at_1(n)),
     CheckSpec("expected-jumps", 2, 8, 9, _check_expected_jumps),
 ]
 

@@ -232,6 +232,12 @@ class TestBlockSwap:
                     assert changed == (not out.letters[-1].pointed)
                     assert m_star_inverse(out) == m
 
+    def test_unpaired_block_is_value_error(self):
+        # the pointed 0 is followed by one unpointed block and nothing to
+        # swap it with
+        with pytest.raises(ValueError, match="block pairs"):
+            m_star(parse_colored_word("0* 1"))
+
 
 L_EX = "(6)(7 5 2 3)(9 1 8 4)"
 R_EX = "(4 2 3)(5)(7 1 6)(9 8)"

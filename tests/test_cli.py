@@ -75,6 +75,13 @@ class TestEnumerate:
         assert code == 2
         assert "--height" in err
 
+    def test_negative_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--object", "tlt", "--size", "3", "--limit", "-1"
+        )
+        assert code == 2 and out == ""
+        assert "--limit" in err
+
     def test_unknown_object_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--object", "zzz", "--size", "1"])
@@ -145,6 +152,20 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--check", "corners-tlt")
         assert code == 1
         assert ",false," in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--max-n", "0"], ["--check", "noc-conjecture", "--max-n", "2"]],
+    )
+    def test_no_rows_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert "no sizes" in err
+
+    def test_jobs_below_one_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--jobs", "0")
+        assert code == 2 and out == ""
+        assert "--jobs" in err
 
     def test_unknown_check_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

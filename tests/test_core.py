@@ -14,8 +14,6 @@ from treelike.core import (
     NonAmbiguousTree,
     PermutationTableau,
     TreeLikeTableau,
-    build_path,
-    corners,
     enumerate_nat,
     enumerate_pt,
     enumerate_tlt,
@@ -34,24 +32,24 @@ SIZE8_TEXT = "SWSSWWWSW\no.o.o\noo.o\n..o.\no"
 
 class TestBorderPath:
     def test_labels_and_corners(self):
-        p = build_path("SWSSWWWS")
+        p = BorderPath("SWSSWWWS")
         assert p.row_labels == (1, 3, 4, 8)
         assert p.col_labels == (2, 5, 6, 7)
-        assert corners(p) == [Cell(1, 2), Cell(4, 5)]
+        assert p.corner_cells == (Cell(1, 2), Cell(4, 5))
         assert p.row_lengths == (4, 3, 3, 0)
 
     def test_all_south(self):
-        p = build_path("SSS")
+        p = BorderPath("SSS")
         assert p.num_rows == 3
         assert p.num_cols == 0
         assert p.row_lengths == (0, 0, 0)
-        assert corners(p) == []
+        assert p.corner_cells == ()
 
     def test_alternating(self):
-        assert corners(build_path("SWSW")) == [Cell(1, 2), Cell(3, 4)]
+        assert BorderPath("SWSW").corner_cells == (Cell(1, 2), Cell(3, 4))
 
     def test_col_order_is_decreasing_labels(self):
-        p = build_path("SWWW")
+        p = BorderPath("SWWW")
         # leftmost column carries the largest label
         assert p.col_label_at(0) == 4
         assert p.col_label_at(2) == 2
@@ -59,7 +57,7 @@ class TestBorderPath:
         assert p.col_index(2) == 2
 
     def test_cell_existence(self):
-        p = build_path("SWSSWWWS")
+        p = BorderPath("SWSSWWWS")
         assert p.cell_exists(1, 2)
         assert p.cell_exists(4, 5)
         assert not p.cell_exists(8, 5)  # row label above column label
@@ -67,9 +65,9 @@ class TestBorderPath:
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            build_path("")
+            BorderPath("")
         with pytest.raises(ValueError):
-            build_path("SXW")
+            BorderPath("SXW")
 
 
 class TestTreeLikeValidation:

@@ -1,6 +1,9 @@
 """Closed formulas against brute-force enumeration."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,11 +29,25 @@ from treelike.counting import (
     xn_count,
 )
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def test_exact_div_guards():
     assert exact_div(12, 4) == 3
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         exact_div(13, 4)
+
+
+def test_exact_div_guard_survives_optimize_flag():
+    # python -O strips assert statements; the guard must not be one
+    code = (
+        "from treelike.counting import exact_div\n"
+        "try:\n    exact_div(13, 4)\nexcept ValueError:\n    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert proc.returncode == 0
 
 
 class TestFormulas:
