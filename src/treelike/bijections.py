@@ -163,7 +163,7 @@ def cut_at_corner(
         t_r = TreeLikeTableau(BorderPath(steps[: i - 1] + WEST), rows_r)
 
     kept_rows = [r for r in range(r_c) if m_rows[r]]
-    kept_cols = [c for c in range(w_head) if (col_union >> c) & 1]
+    kept_cols = list(_bits(col_union))
     col_pos = {c: j for j, c in enumerate(kept_cols)}
     nat_rows = [_move_bits(m_rows[r], col_pos) for r in kept_rows]
     nat_path = BorderPath(SOUTH * len(kept_rows) + WEST * len(kept_cols))
@@ -197,7 +197,7 @@ def glue(
 
     designated_rows = [r for r in range(len(t_r.rows)) if t_r.rows[r] & 1]
     designated_rows.append(r_c - 1)
-    designated_cols = [c for c in range(w_l) if (t_l.rows[0] >> c) & 1] if t_l.rows else []
+    designated_cols = list(_bits(t_l.rows[0])) if t_l.rows else []
     designated_cols.append(w_l)
 
     row_m = {

@@ -46,7 +46,7 @@ def test_exact_div_guard_survives_optimize_flag():
         "raise SystemExit(1)\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
 
 

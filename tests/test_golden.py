@@ -101,7 +101,7 @@ def run_case(argv: list[str], stdin: str) -> dict:
     finally:
         sys.stdin = saved
     out = buf.getvalue()
-    if argv[0] == "verify":
+    if argv[0] == "verify" and out:  # a usage error leaves stdout empty
         out = _strip_elapsed(argv, out)
     data = out.encode("utf-8")
     return {"exit": code, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
