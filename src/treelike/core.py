@@ -367,7 +367,7 @@ def _pt_paths(n: int) -> Iterator[str]:
 # What one cell may hold, indexed by (has a filled cell to its left) * 2 +
 # (has a filled cell above it): bit 1 allows empty, bit 2 allows filled.
 _EMPTY, _FILLED, _EITHER = 1, 2, 3
-_TLT_ROOT = (_FILLED,) * 4
+_TLT_ROOT = (_FILLED,) * 4  # the top-left root cell is always dotted
 # a dot needs exactly one parent, to its left or above it
 _TLT_CELL = (_EMPTY, _EITHER, _EITHER, _EMPTY)
 # ... and the last cell of a row that is still empty must be dotted
