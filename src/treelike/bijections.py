@@ -551,11 +551,17 @@ def _bucket(items, key) -> tuple[dict, dict]:
 
 
 @lru_cache(maxsize=None)
+def _tlts(n: int) -> tuple[TreeLikeTableau, ...]:
+    """Every tableau of size n, enumerated once for both rank tables."""
+    return tuple(enumerate_tlt(n))
+
+
+@lru_cache(maxsize=None)
 def _tlts_by(stat, n: int):
     """Tableaux of size n bucketed by a first-row or first-column count.
     Size 0 holds the one degenerate piece that cutting leaves on that side."""
     if n:
-        items = enumerate_tlt(n)
+        items = _tlts(n)
     else:
         items = [EMPTY_ROW_TABLEAU if stat is first_row_points else EMPTY_COL_TABLEAU]
     return _bucket(items, lambda t: stat(t.rows))

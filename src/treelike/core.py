@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -29,6 +28,25 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+class _cached:
+    """A value computed on first access and stored on the instance, which
+    then shadows this non-data descriptor. Unlike functools.cached_property
+    before Python 3.12, it takes no class-wide lock on each first access."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class Cell(NamedTuple):
@@ -65,12 +83,12 @@ class BorderPath:
     def length(self) -> int:
         return len(self.steps)
 
-    @cached_property
+    @_cached
     def row_labels(self) -> tuple[int, ...]:
         """Labels of the south steps, increasing = top to bottom."""
         return tuple(i + 1 for i, ch in enumerate(self.steps) if ch == SOUTH)
 
-    @cached_property
+    @_cached
     def col_labels(self) -> tuple[int, ...]:
         """Labels of the west steps, in increasing label order."""
         return tuple(i + 1 for i, ch in enumerate(self.steps) if ch == WEST)
@@ -83,7 +101,7 @@ class BorderPath:
     def num_cols(self) -> int:
         return len(self.col_labels)
 
-    @cached_property
+    @_cached
     def row_lengths(self) -> tuple[int, ...]:
         """Cells per row; row i holds the columns with labels above i."""
         cols = self.col_labels
@@ -106,7 +124,7 @@ class BorderPath:
             and row_label < col_label
         )
 
-    @cached_property
+    @_cached
     def corner_cells(self) -> tuple[Cell, ...]:
         s = self.steps
         return tuple(
@@ -115,7 +133,7 @@ class BorderPath:
             if s[i] == SOUTH and s[i + 1] == WEST
         )
 
-    @cached_property
+    @_cached
     def corner_grid_positions(self) -> tuple[tuple[int, int], ...]:
         """Corners as (row index, column index); each is the last cell of its row."""
         out = []
@@ -160,26 +178,26 @@ class TreeLikeTableau:
             raise ValueError("top-left root cell must be dotted")
         width = self.path.num_cols
         above = 0
-        total = 0
         for r, mask in enumerate(self.rows):
             if mask == 0:
                 raise ValueError(f"row {r + 1} has no dot")
-            m = mask
-            while m:
-                c = (m & -m).bit_length() - 1
-                m &= m - 1
-                total += 1
-                if r == 0 and c == 0:
-                    continue
-                has_left = bool(mask & ((1 << c) - 1))
-                has_above = bool((above >> c) & 1)
-                if has_left == has_above:
-                    where = "both a left and an above dot" if has_left else "no parent dot"
-                    raise ValueError(f"cell at row {r + 1}, column index {c} has {where}")
+            # a dot needs exactly one parent: every dot but the row's first
+            # has one to its left, so the first needs a dot above it and the
+            # others must not have one
+            with_left = mask ^ (mask & -mask)
+            bad = mask & ~(with_left ^ (mask & above))
+            if r == 0:
+                bad &= ~1  # the root needs no parent
+            if bad:
+                low = bad & -bad
+                where = "both a left and an above dot" if with_left & low else "no parent dot"
+                raise ValueError(
+                    f"cell at row {r + 1}, column index {low.bit_length() - 1} has {where}"
+                )
             above |= mask
         if above != (1 << width) - 1:
             raise ValueError("some column has no dot")
-        if total != len(steps) - 1:
+        if sum(m.bit_count() for m in self.rows) != len(steps) - 1:
             raise ValueError("dot count must equal path length minus one")
 
     @property
@@ -190,7 +208,7 @@ class TreeLikeTableau:
     def is_degenerate(self) -> bool:
         return self.size == 0
 
-    @cached_property
+    @_cached
     def dots(self) -> frozenset[Cell]:
         out = []
         cols_desc = sorted(self.path.col_labels, reverse=True)
@@ -229,15 +247,15 @@ class PermutationTableau:
                 raise ValueError("1 outside its row")
         width = self.path.num_cols
         above = 0
-        for r, mask in enumerate(self.rows):
-            lam = lengths[r]
-            for c in range(lam):
-                if (mask >> c) & 1:
-                    continue
-                if (above >> c) & 1 and mask & ((1 << c) - 1):
-                    raise ValueError(
-                        f"cell at row {r + 1}, column index {c} is 0 with a 1 above and a 1 to its left"
-                    )
+        for r, (mask, lam) in enumerate(zip(self.rows, lengths)):
+            # the 0-cells of the row that have a 1 above them and lie right
+            # of the row's first 1
+            bad = above & ~mask & -((mask & -mask) << 1) & ((1 << lam) - 1)
+            if bad:
+                c = (bad & -bad).bit_length() - 1
+                raise ValueError(
+                    f"cell at row {r + 1}, column index {c} is 0 with a 1 above and a 1 to its left"
+                )
             above |= mask
         if above != (1 << width) - 1:
             raise ValueError("some column has no 1")
@@ -379,33 +397,59 @@ _PT_CELL = (_EITHER, _EITHER, _EITHER, _FILLED)
 def _fillings(lengths: tuple[int, ...], width: int, rules) -> Iterator[tuple[int, ...]]:
     """Row-major fillings, empty before filled, where rules[r][c] says what
     cell (r, c) may hold and every column must end up holding a filled cell.
-    Yields one bitmask per row."""
+    Yields one bitmask per row.
+
+    A depth-first walk over the cells that always takes the empty branch
+    first and keeps the filled branches it passed on a stack, so a filling
+    is yielded straight from this frame and not up a chain of generators."""
     k = len(lengths)
     full = (1 << width) - 1
-    col_last = [-1] * width  # bottom-most row holding each column index
-    for r, lam in enumerate(lengths):
-        for c in range(lam):
-            col_last[c] = r
-    rows: list[int] = [0] * k
-
-    def fill(r: int, c: int, above: int, covered: int) -> Iterator[tuple[int, ...]]:
-        if c == lengths[r]:
-            if r + 1 == k:
-                if covered == full:
-                    yield tuple(rows)
-            else:
-                yield from fill(r + 1, 0, above | rows[r], covered)
+    last_row = []  # per row: the columns whose bottom-most cell is in it
+    below = 0
+    for lam in reversed(lengths):
+        last_row.append(((1 << lam) - 1) & ~below)
+        below |= (1 << lam) - 1
+    last_row.reverse()
+    rows = [0] * k
+    pending = []  # filled branches not yet taken: (r, c, mask, above, covered)
+    r = c = mask = above = covered = 0  # mask holds only cells left of c
+    lam, rule, last = lengths[0], rules[0], last_row[0]
+    while True:
+        if c == lam:
+            if r + 1 < k:
+                rows[r] = mask
+                above |= mask
+                r += 1
+                c = mask = 0
+                lam, rule, last = lengths[r], rules[r], last_row[r]
+                continue
+            if covered == full:
+                rows[r] = mask
+                yield tuple(rows)
+        else:
+            bit = 1 << c
+            may = rule[c][(2 if mask else 0) | (1 if above & bit else 0)]
+            # the bottom-most cell of a column with no filled cell yet is filled
+            may_empty = may & _EMPTY and not (last & bit and not covered & bit)
+            if may & _FILLED:
+                if may_empty:
+                    pending.append((r, c, mask, above, covered))
+                else:
+                    mask |= bit
+                    covered |= bit
+                c += 1
+                continue
+            if may_empty:
+                c += 1
+                continue
+        if not pending:
             return
-        mask = rows[r]  # holds only cells left of c
-        may = rules[r][c][(2 if mask else 0) | ((above >> c) & 1)]
-        if may & _EMPTY and not (col_last[c] == r and not (covered >> c) & 1):
-            yield from fill(r, c + 1, above, covered)
-        if may & _FILLED:
-            rows[r] = mask | (1 << c)
-            yield from fill(r, c + 1, above, covered | (1 << c))
-            rows[r] = mask
-
-    yield from fill(0, 0, 0, 0)
+        r, c, mask, above, covered = pending.pop()
+        bit = 1 << c
+        mask |= bit
+        covered |= bit
+        c += 1
+        lam, rule, last = lengths[r], rules[r], last_row[r]
 
 
 def tlt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
@@ -464,14 +508,18 @@ def enumerate_nat(h: int, w: int) -> Iterator[NonAmbiguousTree]:
 # serialization
 
 _CHARS = {TreeLikeTableau: ".o", PermutationTableau: "01"}
+# binary digits to cell characters, one table per family
+_ROW_TABLES = {cls: str.maketrans("01", chars) for cls, chars in _CHARS.items()}
 
 
 def _path_and_lines(obj) -> tuple[str, list[str]]:
     if isinstance(obj, NonAmbiguousTree):
         obj = obj.tableau
-    empty, full = _CHARS[type(obj)]
+    table = _ROW_TABLES[type(obj)]
+    # a sentinel bit just past the row keeps its empty right-hand cells;
+    # reversing the binary digits and dropping "0b1" puts cell 0 first
     lines = [
-        "".join(full if (mask >> c) & 1 else empty for c in range(lam))
+        bin(mask | 1 << lam)[:2:-1].translate(table)
         for mask, lam in zip(obj.rows, obj.path.row_lengths)
     ]
     return obj.path.steps, lines
