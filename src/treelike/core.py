@@ -16,6 +16,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 from typing import Iterator, NamedTuple
 
 SOUTH = "S"
@@ -394,6 +395,36 @@ _TLT_ROW_END = (0, _FILLED, _EITHER, _EMPTY)
 _PT_CELL = (_EITHER, _EITHER, _EITHER, _FILLED)
 
 
+def _tlt_rules(lengths: tuple[int, ...]) -> list:
+    rules = []
+    for r, lam in enumerate(lengths):
+        row = [_TLT_CELL] * lam
+        if lam:
+            row[-1] = _TLT_ROW_END
+            if r == 0:
+                row[0] = _TLT_ROOT
+        rules.append(row)
+    return rules
+
+
+def _pt_rules(lengths: tuple[int, ...]) -> list:
+    return [(_PT_CELL,) * lam for lam in lengths]
+
+
+def _bottom_cells(lengths: tuple[int, ...]) -> list[int]:
+    """Per row, the mask of the columns whose bottom-most cell is in it;
+    a column with no filled cell yet must fill that cell."""
+    if not lengths:
+        raise ValueError("a shape needs at least one row")
+    out = []
+    below = 0
+    for lam in reversed(lengths):
+        out.append(((1 << lam) - 1) & ~below)
+        below |= (1 << lam) - 1
+    out.reverse()
+    return out
+
+
 def _fillings(lengths: tuple[int, ...], width: int, rules) -> Iterator[tuple[int, ...]]:
     """Row-major fillings, empty before filled, where rules[r][c] says what
     cell (r, c) may hold and every column must end up holding a filled cell.
@@ -402,14 +433,9 @@ def _fillings(lengths: tuple[int, ...], width: int, rules) -> Iterator[tuple[int
     A depth-first walk over the cells that always takes the empty branch
     first and keeps the filled branches it passed on a stack, so a filling
     is yielded straight from this frame and not up a chain of generators."""
+    last_row = _bottom_cells(lengths)
     k = len(lengths)
     full = (1 << width) - 1
-    last_row = []  # per row: the columns whose bottom-most cell is in it
-    below = 0
-    for lam in reversed(lengths):
-        last_row.append(((1 << lam) - 1) & ~below)
-        below |= (1 << lam) - 1
-    last_row.reverse()
     rows = [0] * k
     pending = []  # filled branches not yet taken: (r, c, mask, above, covered)
     r = c = mask = above = covered = 0  # mask holds only cells left of c
@@ -455,21 +481,107 @@ def _fillings(lengths: tuple[int, ...], width: int, rules) -> Iterator[tuple[int
 def tlt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
     """All valid dot placements for a tree-like shape, in row-major order
     with empty before dot. Yields one bitmask per row."""
-    rules = []
-    for r, lam in enumerate(lengths):
-        row = [_TLT_CELL] * lam
-        if lam:
-            row[-1] = _TLT_ROW_END
-            if r == 0:
-                row[0] = _TLT_ROOT
-        rules.append(row)
-    yield from _fillings(lengths, width, rules)
+    yield from _fillings(lengths, width, _tlt_rules(lengths))
 
 
 def pt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
     """All valid 0/1 fillings for a permutation-tableau shape, row-major,
     0 before 1."""
-    yield from _fillings(lengths, width, [(_PT_CELL,) * lam for lam in lengths])
+    yield from _fillings(lengths, width, _pt_rules(lengths))
+
+
+def _tally_fillings(lengths: tuple[int, ...], width: int, rules, corner_rows) -> dict:
+    """Tally the fillings `_fillings(lengths, width, rules)` yields without
+    listing them: a frontier DP over the same cells in the same order, with
+    the same cell rules and column coverage.
+
+    A state is (seen, lower, flag, fr, fc). `seen` is the mask of the
+    columns holding a filled cell so far; its bit for the cursor's column
+    says whether the cell above is covered, and once a column's bottom-most
+    cell is passed the bit is always set. `lower` keeps, for the corner
+    columns, whether a filled cell sits in row index >= 1. `flag` is 0 while
+    the row has no filled cell, 1 when its only one is in column 0 and 2
+    otherwise (rows without a corner use 2 for any). `fr`, `fc` count the
+    filled cells of the first row and of the first column. A state's value is
+    (fillings, AB, A1, 1B, OneOne): how many partial fillings reach it, and
+    how many empty corners of each class (see `noc_class`) they hold in all.
+    The corners are the last cells of the rows in `corner_rows`, each the
+    bottom-most cell of its column.
+
+    Returns {(fr, fc): (fillings, AB, A1, 1B, OneOne)} over the complete
+    fillings."""
+    last_row = _bottom_cells(lengths)
+    corner_cols = 0
+    for r in corner_rows:
+        corner_cols |= 1 << (lengths[r] - 1)
+    states = {(0, 0, 0, 0, 0): (1, 0, 0, 0, 0)}
+    for r, lam in enumerate(lengths):
+        corner = lam - 1 if r in corner_rows else -1
+        for c in range(lam):
+            bit = 1 << c
+            cell = rules[r][c]
+            must = last_row[r] & bit  # filled unless the column is covered
+            end = c == lam - 1
+            # what a filled cell here does to the flag, lower, fr and fc
+            if end:
+                flag_to = 0
+            else:
+                flag_to = 1 if c == 0 and corner >= 0 else 2
+            lower_to = bit & corner_cols if r else 0
+            dfr = 1 if r == 0 else 0
+            dfc = 1 if c == 0 else 0
+            nxt = {}
+            get = nxt.get
+            for key, val in states.items():
+                seen, lower, flag, fr, fc = key
+                may = cell[(2 if flag else 0) | (1 if seen & bit else 0)]
+                if may & _EMPTY and not (must and not seen & bit):
+                    if c == corner:
+                        # column test: no filled cell in rows 1.. above it;
+                        # row test: none left of it but in column 0
+                        i = (3 if lower & bit else 1) + (1 if flag == 2 else 0)
+                        v = list(val)
+                        v[i] += v[0]
+                        v = tuple(v)
+                        to = (seen, lower & ~bit, 0, fr, fc)
+                    else:
+                        v = val
+                        to = (seen, lower, 0, fr, fc) if end else key
+                    old = get(to)
+                    nxt[to] = v if old is None else tuple(map(add, old, v))
+                if may & _FILLED:
+                    low = lower & ~bit if c == corner else lower | lower_to
+                    to = (seen | bit, low, flag_to, fr + dfr, fc + dfc)
+                    old = get(to)
+                    nxt[to] = val if old is None else tuple(map(add, old, val))
+            states = nxt
+    full = (1 << width) - 1
+    out: dict[tuple[int, int], tuple[int, ...]] = {}
+    for (seen, _, _, fr, fc), val in states.items():
+        if seen == full:
+            old = out.get((fr, fc))
+            out[(fr, fc)] = val if old is None else tuple(map(add, old, val))
+    return out
+
+
+def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
+    """The tree-like fillings of a shape, counted without listing them:
+    {(first-row dots, first-column dots): (fillings, AB, A1, 1B, OneOne)},
+    where the last four count the undotted corners of each class of
+    `NOC_CLASSES` over those fillings. A corner is the last cell of a row
+    that is also the bottom-most cell of its column."""
+    last_row = _bottom_cells(lengths)
+    corner_rows = frozenset(
+        r for r, lam in enumerate(lengths) if lam and last_row[r] >> (lam - 1) & 1
+    )
+    return _tally_fillings(lengths, width, _tlt_rules(lengths), corner_rows)
+
+
+def pt_filling_count(lengths: tuple[int, ...], width: int) -> int:
+    """How many fillings `pt_fillings` yields for a shape, counted without
+    listing them."""
+    tallies = _tally_fillings(lengths, width, _pt_rules(lengths), ())
+    return sum(val[0] for val in tallies.values())
 
 
 def enumerate_tlt(n: int) -> Iterator[TreeLikeTableau]:

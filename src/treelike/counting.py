@@ -1,9 +1,15 @@
 """Closed-form counts, permutation statistics and exhaustive surveys.
 
 Formulas divide factored binomial products, never floats; every division
-checks exact divisibility. Surveys walk the full object catalogue for one
-size and tally every statistic in a single pass, so the expensive sweeps
-are shared across checks.
+checks exact divisibility. A survey tallies every statistic the checks read
+for one size, once, so the sweeps are shared across checks. The permutation
+survey visits every permutation. The tableau surveys never list a tableau:
+for each border path they count the fillings with a frontier DP over the
+same cell rules that `core.tlt_fillings`/`pt_fillings` follow
+(`core.tlt_filling_tallies`, `core.pt_filling_count`; a transfer-matrix
+count, Stanley, Enumerative Combinatorics 1, section 4.7), and the per-object
+sweeps they replaced are kept in the tests as oracles. No survey uses a
+closed form, so the checks stay independent of the formulas they test.
 """
 
 from __future__ import annotations
@@ -17,14 +23,17 @@ from .core import (
     NOC_CLASSES,
     SOUTH,
     BorderPath,
-    first_col_points,
-    first_row_points,
-    pt_fillings,
-    tlt_fillings,
-    _noc_class_at,
+    _bits,
     _pt_paths,
     _tlt_paths,
+    pt_filling_count,
+    tlt_filling_tallies,
 )
+
+# Not called here since the surveys count through the DP, but kept
+# importable under these names: bench/rep.py wraps them where callers bind
+# them, this module included.
+from .core import pt_fillings, tlt_fillings  # noqa: F401
 
 
 def exact_div(num: int, den: int) -> int:
@@ -196,28 +205,63 @@ class PermSurvey:
 @lru_cache(maxsize=None)
 def perm_survey(n: int) -> PermSurvey:
     """One pass over all permutations of [n], tallying every statistic the
-    checks consume."""
+    checks consume with integer arithmetic on each permutation."""
     if n < 1:
         raise ValueError("size must be positive")
-    s = PermSurvey(n)
-    s.bi_counts = {i: 0 for i in range(1, n)}
-    for p in permutations(range(1, n + 1)):
-        s.count += 1
-        asc = ascent_values(p)
-        for i in range(1, n):
-            if i in asc and i + 1 not in asc:
-                s.bi_counts[i] += 1
-        s.runs1_total += len(runs_of_size_1(p))
-        k = cycle_count(p)
-        s.cycle_dist[k] = s.cycle_dist.get(k, 0) + 1
-        s.displacement_total += displacement(p)
-        for j in range(1, n - 1):
-            if p[j - 1] > p[j] > p[j + 1]:
-                s.interior_dd_total += 1
-        s.excedance_total += sum(1 for j, v in enumerate(p, start=1) if v > j)
-        if p[-1] == n:
-            s.last_is_n += 1
-    return s
+    by_bi: dict[int, int] = {}
+    cycles: dict[int, int] = {}
+    runs1 = interior_dd = disp = exc = last_is_n = 0
+    end = 1 << (n - 1)
+    # letters are 0-based here: value v + 1 of the permutation is v
+    for p in permutations(range(n)):
+        # bit v of asc: value v is an ascent value (its right neighbour is
+        # larger; the last letter's is the virtual n). Bit j of des: the
+        # letter at position j descends (the last one into the sentinel 0).
+        asc = 1 << p[-1]
+        des = end
+        for j in range(n - 1):
+            v = p[j]
+            if p[j + 1] > v:
+                asc |= 1 << v
+            else:
+                des |= 1 << j
+            if v > j:  # the last letter, at position n - 1, never exceeds it
+                disp += v - j
+                exc += 1
+        # bit v: values v and v + 1 are an ascent and a descent value
+        bi = asc & ~(asc >> 1) & (end - 1)
+        by_bi[bi] = by_bi.get(bi, 0) + 1
+        # a run of size 1 descends from its left neighbour (or the sentinel
+        # n + 1 before the word) into its right one
+        runs1 += (des & (des << 1 | 1)).bit_count()
+        # an interior double descent is the same away from the sentinels
+        interior_dd += (des & des << 1 & (end - 1)).bit_count()
+        k = 0
+        for i in range(n):
+            # i opens a cycle exactly when it is the least letter on it
+            j = p[i]
+            while j > i:
+                j = p[j]
+            if j == i:
+                k += 1
+        cycles[k] = cycles.get(k, 0) + 1
+        if p[-1] == n - 1:
+            last_is_n += 1
+    bi_counts = {i: 0 for i in range(1, n)}
+    for mask, cnt in by_bi.items():
+        for v in _bits(mask):
+            bi_counts[v + 1] += cnt
+    return PermSurvey(
+        n,
+        count=sum(cycles.values()),
+        bi_counts=bi_counts,
+        runs1_total=runs1,
+        cycle_dist=cycles,
+        displacement_total=disp,
+        interior_dd_total=interior_dd,
+        excedance_total=exc,
+        last_is_n=last_is_n,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,48 +286,49 @@ class TltSurvey:
     transfer_delta_total: int = 0
 
 
+def _add(d: dict, key, x: int) -> None:
+    # a zero tally adds no key, as in a sweep that visits object by object
+    if x:
+        d[key] = d.get(key, 0) + x
+
+
 @lru_cache(maxsize=None)
 def tlt_survey(n: int) -> TltSurvey:
-    """One pass over all tree-like tableaux of size n, on raw bitmask
-    fillings for speed."""
+    """All tree-like tableaux of size n, tallied path by path from the
+    frontier DP of `tlt_filling_tallies`: the fillings of a path counted by
+    first-row and first-column dots, with their undotted corners by class.
+    The corner, transfer and row-count fields are constants of the path
+    times its count."""
     if n < 1:
         raise ValueError("size must be positive")
     s = TltSurvey(n)
     s.class_weight = {c: {} for c in NOC_CLASSES}
     for steps in _tlt_paths(n):
         path = BorderPath(steps)
-        lengths = path.row_lengths
-        width = path.num_cols
         k = path.num_rows
-        cpos = path.corner_grid_positions
-        clabels = [c.row for c in path.corner_cells]
-        delta = 1 if steps[n - 1] == SOUTH else 0
-        for rows in tlt_fillings(lengths, width):
-            s.count += 1
-            s.corners_total += len(cpos)
-            s.transfer_delta_total += delta
-            fr = first_row_points(rows)
-            fc = first_col_points(rows)
+        ncor = len(path.corner_cells)
+        count = 0
+        tallies = tlt_filling_tallies(path.row_lengths, path.num_cols)
+        for (fr, fc), (cnt, *classes) in tallies.items():
+            count += cnt
             key = (fr - 1, fc - 1)
-            s.weight[key] = s.weight.get(key, 0) + 1
-            s.fc_dist[fc] = s.fc_dist.get(fc, 0) + 1
-            s.fr_dist[fr] = s.fr_dist.get(fr, 0) + 1
-            rk = (k, fr - 1, fc - 1)
-            s.rows_weight[rk] = s.rows_weight.get(rk, 0) + 1
-            occ = 0
-            for (r, c), label in zip(cpos, clabels):
-                s.corner_pos[label] = s.corner_pos.get(label, 0) + 1
-                if (rows[r] >> c) & 1:
-                    occ += 1
-                else:
-                    cw = s.class_weight[_noc_class_at(rows, r, c)]
-                    cw[key] = cw.get(key, 0) + 1
-            s.occupied_total += occ
-            s.noc_total += len(cpos) - occ
-            if occ:
-                s.occ_weight[key] = s.occ_weight.get(key, 0) + occ
-            if len(cpos) - occ:
-                s.noc_weight[key] = s.noc_weight.get(key, 0) + len(cpos) - occ
+            noc = sum(classes)
+            _add(s.weight, key, cnt)
+            _add(s.fc_dist, fc, cnt)
+            _add(s.fr_dist, fr, cnt)
+            _add(s.rows_weight, (k,) + key, cnt)
+            _add(s.occ_weight, key, ncor * cnt - noc)
+            _add(s.noc_weight, key, noc)
+            for name, x in zip(NOC_CLASSES, classes):
+                _add(s.class_weight[name], key, x)
+            s.noc_total += noc
+        s.count += count
+        s.corners_total += ncor * count
+        if steps[n - 1] == SOUTH:
+            s.transfer_delta_total += count
+        for cell in path.corner_cells:
+            _add(s.corner_pos, cell.row, count)
+    s.occupied_total = s.corners_total - s.noc_total
     return s
 
 
@@ -298,7 +343,9 @@ class PtSurvey:
 
 @lru_cache(maxsize=None)
 def pt_survey(n: int) -> PtSurvey:
-    """One pass over all permutation tableaux of length n."""
+    """All permutation tableaux of length n, counted path by path with
+    `pt_filling_count`; every field is a constant of the path times its
+    count."""
     if n < 1:
         raise ValueError("length must be positive")
     s = PtSurvey(n)
@@ -307,7 +354,7 @@ def pt_survey(n: int) -> PtSurvey:
         ncor = len(path.corner_cells)
         clabels = [c.row for c in path.corner_cells]
         ends_south = steps[-1] == SOUTH
-        cnt = sum(1 for _ in pt_fillings(path.row_lengths, path.num_cols))
+        cnt = pt_filling_count(path.row_lengths, path.num_cols)
         s.count += cnt
         s.corners_total += ncor * cnt
         for label in clabels:

@@ -1,8 +1,8 @@
-"""Named checks pairing every closed formula with an exhaustive sweep.
+"""Named checks pairing every closed formula with an exhaustive count.
 
 Each check covers a range of sizes and yields one row per size: the
-formula side under `expected`, the enumeration or recurrence side under
-`actual`, matching exactly as strings. A few extra report rows carry
+formula side under `expected`, the enumeration, survey or recurrence side
+under `actual`, matching exactly as strings. A few extra report rows carry
 observations that are informational rather than asserted; those render
 the same text on both sides.
 """

@@ -20,7 +20,11 @@ from treelike.core import (
     parse_nat,
     parse_pt,
     parse_tlt,
+    pt_filling_count,
+    pt_fillings,
     stats_of,
+    tlt_filling_tallies,
+    tlt_fillings,
     to_json,
     to_text,
     transpose,
@@ -201,6 +205,20 @@ class TestEnumeration:
         for k in range(5):
             assert sum(1 for _ in enumerate_nat(0, k)) == 1
             assert sum(1 for _ in enumerate_nat(k, 0)) == 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: list(tlt_fillings((), 0)),
+            lambda: list(pt_fillings((), 0)),
+            lambda: tlt_filling_tallies((), 0),
+            lambda: pt_filling_count((), 0),
+        ],
+        ids=["tlt_fillings", "pt_fillings", "tlt_filling_tallies", "pt_filling_count"],
+    )
+    def test_shape_without_rows_is_value_error(self, call):
+        with pytest.raises(ValueError, match="at least one row"):
+            call()
 
     def test_nat_dimensions(self):
         for nat in enumerate_nat(2, 3):
