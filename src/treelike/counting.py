@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
+from operator import add
 
 from .core import (
     NOC_CLASSES,
@@ -297,12 +298,14 @@ def tlt_survey(n: int) -> TltSurvey:
     """All tree-like tableaux of size n, tallied path by path from the
     frontier DP of `tlt_filling_tallies`: the fillings of a path counted by
     first-row and first-column dots, with their undotted corners by class.
-    The corner, transfer and row-count fields are constants of the path
-    times its count."""
+    The corner and transfer fields are constants of the path times its
+    count; the weights are sums of one tally by row count, first-row and
+    first-column dots."""
     if n < 1:
         raise ValueError("size must be positive")
     s = TltSurvey(n)
-    s.class_weight = {c: {} for c in NOC_CLASSES}
+    # (rows, fr, fc) -> (fillings, their corners, AB, A1, 1B, OneOne)
+    fine: dict[tuple[int, int, int], tuple[int, ...]] = {}
     for steps in _tlt_paths(n):
         path = BorderPath(steps)
         k = path.num_rows
@@ -311,23 +314,28 @@ def tlt_survey(n: int) -> TltSurvey:
         tallies = tlt_filling_tallies(path.row_lengths, path.num_cols)
         for (fr, fc), (cnt, *classes) in tallies.items():
             count += cnt
-            key = (fr - 1, fc - 1)
-            noc = sum(classes)
-            _add(s.weight, key, cnt)
-            _add(s.fc_dist, fc, cnt)
-            _add(s.fr_dist, fr, cnt)
-            _add(s.rows_weight, (k,) + key, cnt)
-            _add(s.occ_weight, key, ncor * cnt - noc)
-            _add(s.noc_weight, key, noc)
-            for name, x in zip(NOC_CLASSES, classes):
-                _add(s.class_weight[name], key, x)
-            s.noc_total += noc
+            add_on = (cnt, ncor * cnt, *classes)
+            old = fine.get((k, fr, fc))
+            fine[(k, fr, fc)] = add_on if old is None else tuple(map(add, old, add_on))
         s.count += count
         s.corners_total += ncor * count
         if steps[n - 1] == SOUTH:
             s.transfer_delta_total += count
         for cell in path.corner_cells:
             _add(s.corner_pos, cell.row, count)
+    s.class_weight = {c: {} for c in NOC_CLASSES}
+    for (k, fr, fc), (cnt, corners, *classes) in fine.items():
+        key = (fr - 1, fc - 1)
+        noc = sum(classes)
+        _add(s.weight, key, cnt)
+        _add(s.fc_dist, fc, cnt)
+        _add(s.fr_dist, fr, cnt)
+        _add(s.rows_weight, (k,) + key, cnt)
+        _add(s.occ_weight, key, corners - noc)
+        _add(s.noc_weight, key, noc)
+        for name, x in zip(NOC_CLASSES, classes):
+            _add(s.class_weight[name], key, x)
+        s.noc_total += noc
     s.occupied_total = s.corners_total - s.noc_total
     return s
 
