@@ -10,9 +10,10 @@ with a marked run of size 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import accumulate, permutations
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -25,11 +26,13 @@ from .core import (
     NonAmbiguousTree,
     PermutationTableau,
     TreeLikeTableau,
-    enumerate_nat,
+    enumerate_nat,  # noqa: F401 -- unused here; bench/rep.py wraps it under this name
     enumerate_tlt,
+    filling_rank,
+    filling_unrank,
     first_col_points,
     first_row_points,
-    transpose_nat,
+    transpose_bits,
     _bits,
 )
 
@@ -309,8 +312,112 @@ def enumerate_colored_words(h: int, w: int) -> Iterator[ColoredWord]:
     yield from rec()
 
 
+# Counting words by their state. After a letter, what a valid word may still
+# do depends on a (pointed letters left), b (unpointed letters left), the
+# kind of the last letter, and m, how many letters of that kind left are
+# larger than it: the next letter is any letter of the other kind or one of
+# those m. A word that has just started behaves as after a pointed letter
+# smaller than all, so m = a.
+
+
+@lru_cache(maxsize=128)
+def _word_counts(h: int, w: int) -> list:
+    """table[a][b] = (pointed, unpointed) for a <= h + 1, b <= w: prefix
+    sums over m of the completions after a pointed or unpointed last letter,
+    so that entry m + 1 minus entry m counts the completions in state
+    (a, b, kind, m)."""
+    table: list = [[None] * (w + 1) for _ in range(h + 2)]
+    table[0][0] = ([0, 1], [0, 0])  # the word is complete: valid if it ended pointed
+    for a in range(h + 2):
+        for b in range(w + 1):
+            if not a + b:
+                continue
+            # after a pointed letter: any unpointed one or one of the m
+            # larger pointed ones; after an unpointed letter: one of the m
+            # larger unpointed ones or any pointed one
+            to_u = table[a][b - 1][1] if b else [0]
+            to_p = table[a - 1][b][0] if a else [0]
+            pointed = accumulate((to_u[b] + to_p[m] for m in range(a + 1)), initial=0)
+            unpointed = accumulate((to_u[m] + to_p[a] for m in range(b + 1)), initial=0)
+            table[a][b] = (list(pointed), list(unpointed))
+    return table
+
+
 def count_colored_words(h: int, w: int) -> int:
-    return sum(1 for _ in enumerate_colored_words(h, w))
+    """How many words `enumerate_colored_words(h, w)` yields."""
+    if h < 0 or w < 0:
+        raise ValueError("bad alphabet")
+    pointed = _word_counts(h, w)[h + 1][w][0]
+    return pointed[h + 2] - pointed[h + 1]
+
+
+def _word_rank(m: ColoredWord) -> int:
+    """The position of a word among `enumerate_colored_words(m.h, m.w)`,
+    counted from 0: at each letter, the valid words that agree with it
+    before that letter and have an earlier letter there. Raises ValueError
+    for an invalid word."""
+    table = _word_counts(m.h, m.w)
+    pointed = list(range(m.h + 1))
+    plain = list(range(1, m.w + 1))
+    last, last_pointed = -1, True
+    rank = 0
+    for value, is_pointed in m.letters:
+        if is_pointed == last_pointed and value <= last:
+            raise ValueError("not a valid colored word")
+        a, b = len(pointed), len(plain)
+        # smaller keys come first: lower values, and unpointed before pointed
+        lo = bisect_right(pointed, last) if last_pointed else 0
+        hi = bisect_left(pointed, value)
+        if lo < hi:
+            sums = table[a - 1][b][0]
+            rank += sums[a - lo] - sums[a - hi]
+        lo = 0 if last_pointed else bisect_right(plain, last)
+        hi = bisect_right(plain, value) if is_pointed else bisect_left(plain, value)
+        if lo < hi:
+            sums = table[a][b - 1][1]
+            rank += sums[b - lo] - sums[b - hi]
+        left = pointed if is_pointed else plain
+        left.pop(bisect_left(left, value))
+        last, last_pointed = value, is_pointed
+    if not last_pointed:
+        raise ValueError("not a valid colored word")
+    return rank
+
+
+def _word_unrank(h: int, w: int, index: int) -> ColoredWord:
+    """The word at position `index` of `enumerate_colored_words(h, w)`;
+    ValueError when there is none."""
+    if not 0 <= index < count_colored_words(h, w):
+        raise ValueError(f"no colored word at index {index}")
+    table = _word_counts(h, w)
+    pointed = list(range(h + 1))
+    plain = list(range(1, w + 1))
+    last, last_pointed = -1, True
+    letters = []
+    while pointed or plain:
+        a, b = len(pointed), len(plain)
+        i = bisect_right(pointed, last) if last_pointed else 0
+        j = 0 if last_pointed else bisect_right(plain, last)
+        # walk the letters that may come next in key order, skipping whole
+        # subtrees of words until the index falls inside one
+        while True:
+            if j < b and (i == a or plain[j] <= pointed[i]):
+                sums = table[a][b - 1][1]
+                n = sums[b - j] - sums[b - j - 1]
+                if index < n:
+                    last, last_pointed = plain.pop(j), False
+                    break
+                j += 1
+            else:
+                sums = table[a - 1][b][0]
+                n = sums[a - i] - sums[a - i - 1]
+                if index < n:
+                    last, last_pointed = pointed.pop(i), True
+                    break
+                i += 1
+            index -= n
+        letters.append(ColoredLetter(last, last_pointed))
+    return ColoredWord(tuple(letters), h, w)
 
 
 @dataclass(frozen=True)
@@ -574,16 +681,18 @@ def _perms_by_cycles(n: int):
     return _bucket(permutations(range(1, n + 1)), cycle_count)
 
 
-@lru_cache(maxsize=None)
-def _grid(h: int, w: int):
-    """Trees of the (h, w) grid and words on the (h, w) alphabet, bucketed
-    by type; the i-th tree pairs with the i-th word."""
-    return _bucket(chain(enumerate_nat(h, w), enumerate_colored_words(h, w)), type)
-
-
 def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
-    """Cut at the corner, recode each piece by its rank inside its
-    statistic class, and substitute into a marked-run permutation."""
+    """Cut at the corner, recode each piece by its rank, and substitute
+    into a marked-run permutation.
+
+    A side piece of size k with d first-row (left) or first-column (right)
+    dots becomes the permutation of k with d cycles of the same rank, from
+    tables of all tableaux and permutations of size k. The tree becomes the
+    colored word whose rank among `enumerate_colored_words` equals the rank
+    of the tree's transpose among `enumerate_nat` of its grid. Both ranks
+    are counted from completion counts (`filling_rank`, `_word_unrank`), so
+    no grid is listed; the transpose is read off the tree's row bits
+    without building a second tree."""
     t_l, t_r, nat = cut_at_corner(t, corner)
     fr_l = first_row_points(t_l.rows)
     fc_r = first_col_points(t_r.rows)
@@ -596,13 +705,17 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
     perms_r, _ = _perms_by_cycles(t_r.size)
     r_cycles = CycleForm.from_permutation(perms_r[fc_r][ranks_r[t_r]])
 
-    grid, ranks = _grid(fr_l, fc_r)
-    m = grid[ColoredWord][ranks[transpose_nat(nat)]]
+    # the word pairs with the transpose of the tree, ranked in place
+    rows = transpose_bits(nat.tableau.rows, fr_l + 1)
+    m = _word_unrank(fr_l, fc_r, filling_rank((fc_r + 1,) * (fr_l + 1), fc_r + 1, rows))
     return triplet_to_run(l_cycles, r_cycles, m)
 
 
 def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
-    """Inverse of the corner-to-run map."""
+    """Inverse of the corner-to-run map: split the run into cycle forms and
+    a colored word, look the side pieces up by rank, and unrank the tree
+    that pairs with the word (`_word_rank`, `filling_unrank`) straight into
+    the rows of its transpose, the one validated tree that `glue` takes."""
     l_cycles, r_cycles, m = run_to_triplet(mr)
 
     buckets_l, _ = _tlts_by(first_row_points, l_cycles.size)
@@ -613,6 +726,7 @@ def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
     _, perm_ranks_r = _perms_by_cycles(r_cycles.size)
     t_r = buckets_r[m.w][perm_ranks_r[r_cycles.to_permutation()]]
 
-    grid, ranks = _grid(m.h, m.w)
-    nat = transpose_nat(grid[NonAmbiguousTree][ranks[m]])
+    rows = filling_unrank((m.w + 1,) * (m.h + 1), m.w + 1, _word_rank(m))
+    path = BorderPath(SOUTH * (m.w + 1) + WEST * (m.h + 1))
+    nat = NonAmbiguousTree(TreeLikeTableau(path, transpose_bits(rows, m.w + 1)))
     return glue(t_l, t_r, nat)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import Iterator, NamedTuple
@@ -67,32 +68,64 @@ class StatRecord(NamedTuple):
     firstRowPoints: int
 
 
+@lru_cache(maxsize=4096)
+def _path_shape(steps: str) -> dict:
+    """The shape data of a border path, computed once per step string and
+    shared by every `BorderPath` with those steps."""
+    if not steps:
+        raise ValueError("empty step sequence")
+    bad = set(steps) - {SOUTH, WEST}
+    if bad:
+        raise ValueError(f"invalid steps: {sorted(bad)!r}")
+    rows = tuple(i + 1 for i, ch in enumerate(steps) if ch == SOUTH)
+    cols = tuple(i + 1 for i, ch in enumerate(steps) if ch == WEST)
+    lengths = tuple(len(cols) - bisect_right(cols, r) for r in rows)
+    corners = tuple(
+        Cell(i + 1, i + 2)
+        for i in range(len(steps) - 1)
+        if steps[i] == SOUTH and steps[i + 1] == WEST
+    )
+    # a corner is the last cell of its row
+    positions = []
+    for cell in corners:
+        r = rows.index(cell.row)
+        positions.append((r, lengths[r] - 1))
+    return {
+        "row_labels": rows,
+        "col_labels": cols,
+        "row_lengths": lengths,
+        "corner_cells": corners,
+        "corner_grid_positions": tuple(positions),
+    }
+
+
 @dataclass(frozen=True)
 class BorderPath:
-    """Southeast border of a diagram, as a string over {S, W}."""
+    """Southeast border of a diagram, as a string over {S, W}.
+
+    Equality and hashing use the steps alone. The shape data below are
+    plain attributes, looked up once per instance from a cache shared by
+    every path with the same steps:
+
+    - `row_labels`: labels of the south steps, increasing = top to bottom;
+    - `col_labels`: labels of the west steps, in increasing label order;
+    - `row_lengths`: cells per row; row i holds the columns with labels
+      above i;
+    - `corner_cells`: the corners as (row label, column label);
+    - `corner_grid_positions`: the corners as (row index, column index);
+      each is the last cell of its row.
+    """
 
     steps: str
 
     def __post_init__(self):
-        if not self.steps:
-            raise ValueError("empty step sequence")
-        bad = set(self.steps) - {SOUTH, WEST}
-        if bad:
-            raise ValueError(f"invalid steps: {sorted(bad)!r}")
+        if not isinstance(self.steps, str):
+            raise ValueError("steps must be a string")
+        self.__dict__.update(_path_shape(self.steps))
 
     @property
     def length(self) -> int:
         return len(self.steps)
-
-    @_cached
-    def row_labels(self) -> tuple[int, ...]:
-        """Labels of the south steps, increasing = top to bottom."""
-        return tuple(i + 1 for i, ch in enumerate(self.steps) if ch == SOUTH)
-
-    @_cached
-    def col_labels(self) -> tuple[int, ...]:
-        """Labels of the west steps, in increasing label order."""
-        return tuple(i + 1 for i, ch in enumerate(self.steps) if ch == WEST)
 
     @property
     def num_rows(self) -> int:
@@ -101,12 +134,6 @@ class BorderPath:
     @property
     def num_cols(self) -> int:
         return len(self.col_labels)
-
-    @_cached
-    def row_lengths(self) -> tuple[int, ...]:
-        """Cells per row; row i holds the columns with labels above i."""
-        cols = self.col_labels
-        return tuple(len(cols) - bisect_right(cols, r) for r in self.row_labels)
 
     def row_index(self, row_label: int) -> int:
         return self.row_labels.index(row_label)
@@ -124,24 +151,6 @@ class BorderPath:
             and col_label in set(self.col_labels)
             and row_label < col_label
         )
-
-    @_cached
-    def corner_cells(self) -> tuple[Cell, ...]:
-        s = self.steps
-        return tuple(
-            Cell(i + 1, i + 2)
-            for i in range(len(s) - 1)
-            if s[i] == SOUTH and s[i + 1] == WEST
-        )
-
-    @_cached
-    def corner_grid_positions(self) -> tuple[tuple[int, int], ...]:
-        """Corners as (row index, column index); each is the last cell of its row."""
-        out = []
-        for cell in self.corner_cells:
-            r = self.row_index(cell.row)
-            out.append((r, self.row_lengths[r] - 1))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -198,12 +207,14 @@ class TreeLikeTableau:
             above |= mask
         if above != (1 << width) - 1:
             raise ValueError("some column has no dot")
-        if sum(m.bit_count() for m in self.rows) != len(steps) - 1:
+        size = sum(map(int.bit_count, self.rows))
+        if size != len(steps) - 1:
             raise ValueError("dot count must equal path length minus one")
+        self.__dict__["size"] = size  # what the `size` field would compute
 
-    @property
+    @_cached
     def size(self) -> int:
-        return sum(m.bit_count() for m in self.rows)
+        return sum(map(int.bit_count, self.rows))
 
     @property
     def is_degenerate(self) -> bool:
@@ -355,11 +366,17 @@ def _noc_class_at(rows: tuple[int, ...], r: int, c: int) -> str:
 def transpose(t: TreeLikeTableau) -> TreeLikeTableau:
     """Reflect across the main diagonal; swaps rows with columns."""
     steps = "".join(SOUTH if ch == WEST else WEST for ch in reversed(t.path.steps))
-    heights = [0] * t.path.num_cols
-    for r, mask in enumerate(t.rows):
+    return TreeLikeTableau(BorderPath(steps), transpose_bits(t.rows, t.path.num_cols))
+
+
+def transpose_bits(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """Row bitmasks of the reflected filling: bit r of row c is set when
+    bit c of row r is."""
+    out = [0] * width
+    for r, mask in enumerate(rows):
         for c in _bits(mask):
-            heights[c] |= 1 << r
-    return TreeLikeTableau(BorderPath(steps), tuple(heights))
+            out[c] |= 1 << r
+    return tuple(out)
 
 
 def transpose_nat(nat: NonAmbiguousTree) -> NonAmbiguousTree:
@@ -490,7 +507,140 @@ def pt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...
     yield from _fillings(lengths, width, _pt_rules(lengths))
 
 
-def _tally_fillings(lengths: tuple[int, ...], width: int, rules, corner_rows) -> dict:
+def _cell_moves(lengths: tuple[int, ...], rules) -> list:
+    """The cells of `_fillings` in its order, each as (bit, may, end) for a
+    frontier walk whose state key is (seen << 1) | flag: `seen` is the mask
+    of the columns holding a filled cell so far and `flag` says whether the
+    current row holds one. `bit` is the cell's column bit in the key, `may`
+    the cell's rule with the bottom-most cell of a column that has no filled
+    cell forced to be filled, and `end` marks the last cell of a row, after
+    which the flag starts again at 0."""
+    last_row = _bottom_cells(lengths)
+    moves = []
+    for r, lam in enumerate(lengths):
+        for c in range(lam):
+            may = rules[r][c]
+            if last_row[r] >> c & 1:
+                may = (may[0] & _FILLED, may[1], may[2] & _FILLED, may[3])
+            moves.append((2 << c, may, c == lam - 1))
+    return moves
+
+
+def _prefix_counts(moves: list) -> list[dict[int, int]]:
+    """For each position of the walk, {state key: partial fillings reaching
+    it}; the last entry holds the complete fillings."""
+    layers = [{0: 1}]
+    for bit, may, end in moves:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, n in layers[-1].items():
+            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
+            if ok & _EMPTY:
+                to = key & ~1 if end else key
+                nxt[to] = get(to, 0) + n
+            if ok & _FILLED:
+                to = (key | bit) & ~1 if end else key | bit | 1
+                nxt[to] = get(to, 0) + n
+        layers.append(nxt)
+    return layers
+
+
+@lru_cache(maxsize=256)
+def _tlt_completions(lengths: tuple[int, ...], width: int) -> tuple[list, list]:
+    """(moves, counts) for the tree-like fillings of a shape: the cell
+    moves of `_cell_moves` and, per position, {state key: complete fillings
+    through it} over the reachable states. One forward pass finds the
+    states, one backward pass counts their completions."""
+    moves = _cell_moves(lengths, _tlt_rules(lengths))
+    layers = _prefix_counts(moves)
+    done = ((1 << width) - 1) << 1
+    counts: list = [None] * len(moves)
+    counts.append({done: 1})
+    for p in range(len(moves) - 1, -1, -1):
+        bit, may, end = moves[p]
+        after = counts[p + 1]
+        here = {}
+        for key in layers[p]:
+            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
+            n = 0
+            if ok & _EMPTY:
+                n += after.get(key & ~1 if end else key, 0)
+            if ok & _FILLED:
+                n += after.get((key | bit) & ~1 if end else key | bit | 1, 0)
+            if n:
+                here[key] = n
+        counts[p] = here
+    return moves, counts
+
+
+def filling_count(lengths: tuple[int, ...], width: int) -> int:
+    """How many fillings `tlt_fillings(lengths, width)` yields."""
+    return _tlt_completions(lengths, width)[1][0].get(0, 0)
+
+
+def filling_rank(lengths: tuple[int, ...], width: int, rows: tuple[int, ...]) -> int:
+    """The position of a filling among `tlt_fillings(lengths, width)`,
+    counted from 0, found by summing the completions of every empty branch
+    the filling passes over. Raises ValueError when the tree-like rules
+    reject the filling."""
+    moves, counts = _tlt_completions(lengths, width)
+    if len(rows) != len(lengths):
+        raise ValueError("row count does not match the shape")
+    rank = key = p = 0
+    for r, (mask, lam) in enumerate(zip(rows, lengths)):
+        if mask < 0 or mask >> lam:
+            raise ValueError("dot outside its row")
+        for c in range(lam):
+            bit, may, end = moves[p]
+            p += 1
+            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
+            empty = key & ~1 if end else key
+            if mask >> c & 1:
+                if not ok & _FILLED:
+                    raise ValueError(f"cell at row {r + 1}, column index {c} may not hold a dot")
+                if ok & _EMPTY:
+                    rank += counts[p].get(empty, 0)
+                key = (key | bit) & ~1 if end else key | bit | 1
+            elif ok & _EMPTY:
+                key = empty
+            else:
+                raise ValueError(f"cell at row {r + 1}, column index {c} must hold a dot")
+    if key != ((1 << width) - 1) << 1:
+        raise ValueError("some column has no dot")
+    return rank
+
+
+def filling_unrank(lengths: tuple[int, ...], width: int, index: int) -> tuple[int, ...]:
+    """The filling at position `index` of `tlt_fillings(lengths, width)`,
+    one bitmask per row, built cell by cell: the empty branch when `index`
+    is below the number of fillings through it, else a dot, with those
+    fillings skipped."""
+    if not 0 <= index < filling_count(lengths, width):
+        raise ValueError(f"no filling at index {index}")
+    moves, counts = _tlt_completions(lengths, width)
+    rows = []
+    key = p = 0
+    for lam in lengths:
+        mask = 0
+        for c in range(lam):
+            bit, may, end = moves[p]
+            p += 1
+            if may[(key & 1) << 1 | (1 if key & bit else 0)] & _EMPTY:
+                empty = key & ~1 if end else key
+                n = counts[p].get(empty, 0)
+                if index < n:
+                    key = empty
+                    continue
+                index -= n
+            mask |= 1 << c
+            key = (key | bit) & ~1 if end else key | bit | 1
+        rows.append(mask)
+    return tuple(rows)
+
+
+def _tally_fillings(
+    lengths: tuple[int, ...], width: int, rules, last_row: list[int], corner_rows
+) -> dict:
     """Tally the fillings `_fillings(lengths, width, rules)` yields without
     listing them: a frontier DP over the same cells in the same order, with
     the same cell rules and column coverage.
@@ -509,8 +659,7 @@ def _tally_fillings(lengths: tuple[int, ...], width: int, rules, corner_rows) ->
     bottom-most cell of its column.
 
     Returns {(fr, fc): (fillings, AB, A1, 1B, OneOne)} over the complete
-    fillings."""
-    last_row = _bottom_cells(lengths)
+    fillings. `last_row` is `_bottom_cells(lengths)`."""
     corner_cols = 0
     for r in corner_rows:
         corner_cols |= 1 << (lengths[r] - 1)
@@ -574,14 +723,14 @@ def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
     corner_rows = frozenset(
         r for r, lam in enumerate(lengths) if lam and last_row[r] >> (lam - 1) & 1
     )
-    return _tally_fillings(lengths, width, _tlt_rules(lengths), corner_rows)
+    return _tally_fillings(lengths, width, _tlt_rules(lengths), last_row, corner_rows)
 
 
 def pt_filling_count(lengths: tuple[int, ...], width: int) -> int:
     """How many fillings `pt_fillings` yields for a shape, counted without
     listing them."""
-    tallies = _tally_fillings(lengths, width, _pt_rules(lengths), ())
-    return sum(val[0] for val in tallies.values())
+    final = _prefix_counts(_cell_moves(lengths, _pt_rules(lengths)))[-1]
+    return final.get(((1 << width) - 1) << 1, 0)
 
 
 def enumerate_tlt(n: int) -> Iterator[TreeLikeTableau]:

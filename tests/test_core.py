@@ -41,6 +41,18 @@ class TestBorderPath:
         assert p.corner_cells == (Cell(1, 2), Cell(4, 5))
         assert p.row_lengths == (4, 3, 3, 0)
 
+    def test_shape_shared_by_equal_paths(self):
+        p, q = BorderPath("SWSSWWWS"), BorderPath("SWSSWWWS")
+        assert p == q and hash(p) == hash(q)
+        assert p.row_lengths is q.row_lengths
+        assert p.corner_grid_positions == ((0, 3), (2, 2))
+        assert p != BorderPath("SWSSWWWSW")
+
+    @pytest.mark.parametrize("steps", ["", "SXW", None, ["S", "W"]])
+    def test_bad_steps_are_value_error(self, steps):
+        with pytest.raises(ValueError):
+            BorderPath(steps)
+
     def test_all_south(self):
         p = BorderPath("SSS")
         assert p.num_rows == 3
