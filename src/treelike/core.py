@@ -207,10 +207,9 @@ class TreeLikeTableau:
             above |= mask
         if above != (1 << width) - 1:
             raise ValueError("some column has no dot")
-        size = sum(map(int.bit_count, self.rows))
-        if size != len(steps) - 1:
-            raise ValueError("dot count must equal path length minus one")
-        self.__dict__["size"] = size  # what the `size` field would compute
+        # one parent per dot and full coverage leave rows + columns - 1 dots,
+        # so the size needs no check; store what the `size` field computes
+        self.__dict__["size"] = sum(map(int.bit_count, self.rows))
 
     @_cached
     def size(self) -> int:
@@ -379,10 +378,6 @@ def transpose_bits(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def transpose_nat(nat: NonAmbiguousTree) -> NonAmbiguousTree:
-    return NonAmbiguousTree(transpose(nat.tableau))
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -428,18 +423,30 @@ def _pt_rules(lengths: tuple[int, ...]) -> list:
     return [(_PT_CELL,) * lam for lam in lengths]
 
 
-def _bottom_cells(lengths: tuple[int, ...]) -> list[int]:
-    """Per row, the mask of the columns whose bottom-most cell is in it;
-    a column with no filled cell yet must fill that cell."""
+def _cell_moves(lengths: tuple[int, ...], rules) -> list:
+    """The cells of a shape in row-major order, each as a move (r, bit, may,
+    end) of a walk over its fillings. Every walk reads these moves, so the
+    cell rules and column coverage are applied here alone.
+
+    The walk's state key is (seen << 1) | flag: `seen` is the mask of the
+    columns holding a filled cell so far and `flag` says whether the current
+    row holds one. `r` is the cell's row and `bit` its column's bit in the
+    key. `may` is `rules[r][c]`, indexed by flag * 2 + (key & bit != 0), with
+    column coverage folded in: the bottom-most cell of a column with no
+    filled cell above it must be filled. `end` marks the last cell of a row.
+    An empty cell keeps the key, a filled one sets `bit | 1`, and `end`
+    then clears the flag; the complete fillings end at key `full << 1`."""
     if not lengths:
         raise ValueError("a shape needs at least one row")
-    out = []
-    below = 0
-    for lam in reversed(lengths):
-        out.append(((1 << lam) - 1) & ~below)
-        below |= (1 << lam) - 1
-    out.reverse()
-    return out
+    moves = []
+    for r, lam in enumerate(lengths):
+        below = max(lengths[r + 1 :], default=0)  # the columns later rows reach
+        for c in range(lam):
+            may = rules[r][c]
+            if c >= below:
+                may = (may[0] & _FILLED, may[1], may[2] & _FILLED, may[3])
+            moves.append((r, 2 << c, may, c == lam - 1))
+    return moves
 
 
 def _fillings(lengths: tuple[int, ...], width: int, rules) -> Iterator[tuple[int, ...]]:
@@ -447,52 +454,39 @@ def _fillings(lengths: tuple[int, ...], width: int, rules) -> Iterator[tuple[int
     cell (r, c) may hold and every column must end up holding a filled cell.
     Yields one bitmask per row.
 
-    A depth-first walk over the cells that always takes the empty branch
-    first and keeps the filled branches it passed on a stack, so a filling
-    is yielded straight from this frame and not up a chain of generators."""
-    last_row = _bottom_cells(lengths)
-    k = len(lengths)
-    full = (1 << width) - 1
-    rows = [0] * k
-    pending = []  # filled branches not yet taken: (r, c, mask, above, covered)
-    r = c = mask = above = covered = 0  # mask holds only cells left of c
-    lam, rule, last = lengths[0], rules[0], last_row[0]
+    A depth-first walk over the moves of `_cell_moves` that always takes the
+    empty branch first and keeps the filled branches it passed on a stack,
+    so a filling is yielded straight from this frame and not up a chain of
+    generators. Rows without cells have no moves and stay 0."""
+    moves = _cell_moves(lengths, rules)
+    stop, done = len(moves), ((1 << width) - 1) << 1
+    rows = [0] * len(lengths)
+    pending = []  # filled branches not yet taken: (p, key, mask)
+    p = key = mask = 0  # mask: the current row's filled cells, as key bits
     while True:
-        if c == lam:
-            if r + 1 < k:
-                rows[r] = mask
-                above |= mask
-                r += 1
-                c = mask = 0
-                lam, rule, last = lengths[r], rules[r], last_row[r]
-                continue
-            if covered == full:
-                rows[r] = mask
+        if p == stop:
+            if key == done:
                 yield tuple(rows)
+            ok = 0
         else:
-            bit = 1 << c
-            may = rule[c][(2 if mask else 0) | (1 if above & bit else 0)]
-            # the bottom-most cell of a column with no filled cell yet is filled
-            may_empty = may & _EMPTY and not (last & bit and not covered & bit)
-            if may & _FILLED:
-                if may_empty:
-                    pending.append((r, c, mask, above, covered))
-                else:
-                    mask |= bit
-                    covered |= bit
-                c += 1
-                continue
-            if may_empty:
-                c += 1
-                continue
-        if not pending:
-            return
-        r, c, mask, above, covered = pending.pop()
-        bit = 1 << c
-        mask |= bit
-        covered |= bit
-        c += 1
-        lam, rule, last = lengths[r], rules[r], last_row[r]
+            r, bit, may, end = moves[p]
+            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
+            if ok == _EITHER:
+                pending.append((p, key, mask))
+        if not ok:
+            if not pending:
+                return
+            p, key, mask = pending.pop()
+            r, bit, _, end = moves[p]
+            ok = _FILLED
+        if ok == _FILLED:
+            mask |= bit
+            key |= bit | 1
+        p += 1
+        if end:
+            rows[r] = mask >> 1
+            key &= ~1
+            mask = 0
 
 
 def tlt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
@@ -507,30 +501,11 @@ def pt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...
     yield from _fillings(lengths, width, _pt_rules(lengths))
 
 
-def _cell_moves(lengths: tuple[int, ...], rules) -> list:
-    """The cells of `_fillings` in its order, each as (bit, may, end) for a
-    frontier walk whose state key is (seen << 1) | flag: `seen` is the mask
-    of the columns holding a filled cell so far and `flag` says whether the
-    current row holds one. `bit` is the cell's column bit in the key, `may`
-    the cell's rule with the bottom-most cell of a column that has no filled
-    cell forced to be filled, and `end` marks the last cell of a row, after
-    which the flag starts again at 0."""
-    last_row = _bottom_cells(lengths)
-    moves = []
-    for r, lam in enumerate(lengths):
-        for c in range(lam):
-            may = rules[r][c]
-            if last_row[r] >> c & 1:
-                may = (may[0] & _FILLED, may[1], may[2] & _FILLED, may[3])
-            moves.append((2 << c, may, c == lam - 1))
-    return moves
-
-
 def _prefix_counts(moves: list) -> list[dict[int, int]]:
     """For each position of the walk, {state key: partial fillings reaching
     it}; the last entry holds the complete fillings."""
     layers = [{0: 1}]
-    for bit, may, end in moves:
+    for _, bit, may, end in moves:
         nxt: dict[int, int] = {}
         get = nxt.get
         for key, n in layers[-1].items():
@@ -553,11 +528,10 @@ def _tlt_completions(lengths: tuple[int, ...], width: int) -> tuple[list, list]:
     states, one backward pass counts their completions."""
     moves = _cell_moves(lengths, _tlt_rules(lengths))
     layers = _prefix_counts(moves)
-    done = ((1 << width) - 1) << 1
     counts: list = [None] * len(moves)
-    counts.append({done: 1})
+    counts.append({((1 << width) - 1) << 1: 1})
     for p in range(len(moves) - 1, -1, -1):
-        bit, may, end = moves[p]
+        _, bit, may, end = moves[p]
         after = counts[p + 1]
         here = {}
         for key in layers[p]:
@@ -578,6 +552,16 @@ def filling_count(lengths: tuple[int, ...], width: int) -> int:
     return _tlt_completions(lengths, width)[1][0].get(0, 0)
 
 
+def _branches(key: int, move: tuple) -> tuple[int, int, int]:
+    """(may, empty, filled) for a move from state `key`: what its cell may
+    hold and the keys after it is left empty or filled."""
+    _, bit, may, end = move
+    ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
+    if end:
+        return ok, key & ~1, (key | bit) & ~1
+    return ok, key, key | bit | 1
+
+
 def filling_rank(lengths: tuple[int, ...], width: int, rows: tuple[int, ...]) -> int:
     """The position of a filling among `tlt_fillings(lengths, width)`,
     counted from 0, found by summing the completions of every empty branch
@@ -591,20 +575,18 @@ def filling_rank(lengths: tuple[int, ...], width: int, rows: tuple[int, ...]) ->
         if mask < 0 or mask >> lam:
             raise ValueError("dot outside its row")
         for c in range(lam):
-            bit, may, end = moves[p]
+            ok, empty, filled = _branches(key, moves[p])
             p += 1
-            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
-            empty = key & ~1 if end else key
-            if mask >> c & 1:
-                if not ok & _FILLED:
-                    raise ValueError(f"cell at row {r + 1}, column index {c} may not hold a dot")
-                if ok & _EMPTY:
-                    rank += counts[p].get(empty, 0)
-                key = (key | bit) & ~1 if end else key | bit | 1
-            elif ok & _EMPTY:
+            if not mask >> c & 1:
+                if not ok & _EMPTY:
+                    raise ValueError(f"cell at row {r + 1}, column index {c} must hold a dot")
                 key = empty
-            else:
-                raise ValueError(f"cell at row {r + 1}, column index {c} must hold a dot")
+                continue
+            if not ok & _FILLED:
+                raise ValueError(f"cell at row {r + 1}, column index {c} may not hold a dot")
+            if ok & _EMPTY:
+                rank += counts[p].get(empty, 0)
+            key = filled
     if key != ((1 << width) - 1) << 1:
         raise ValueError("some column has no dot")
     return rank
@@ -618,99 +600,18 @@ def filling_unrank(lengths: tuple[int, ...], width: int, index: int) -> tuple[in
     if not 0 <= index < filling_count(lengths, width):
         raise ValueError(f"no filling at index {index}")
     moves, counts = _tlt_completions(lengths, width)
-    rows = []
-    key = p = 0
-    for lam in lengths:
-        mask = 0
-        for c in range(lam):
-            bit, may, end = moves[p]
-            p += 1
-            if may[(key & 1) << 1 | (1 if key & bit else 0)] & _EMPTY:
-                empty = key & ~1 if end else key
-                n = counts[p].get(empty, 0)
-                if index < n:
-                    key = empty
-                    continue
-                index -= n
-            mask |= 1 << c
-            key = (key | bit) & ~1 if end else key | bit | 1
-        rows.append(mask)
+    rows = [0] * len(lengths)
+    key = 0
+    for p, move in enumerate(moves, 1):
+        ok, empty, filled = _branches(key, move)
+        n = counts[p].get(empty, 0) if ok & _EMPTY else 0
+        if index < n:
+            key = empty
+        else:
+            index -= n
+            rows[move[0]] |= move[1] >> 1
+            key = filled
     return tuple(rows)
-
-
-def _tally_fillings(
-    lengths: tuple[int, ...], width: int, rules, last_row: list[int], corner_rows
-) -> dict:
-    """Tally the fillings `_fillings(lengths, width, rules)` yields without
-    listing them: a frontier DP over the same cells in the same order, with
-    the same cell rules and column coverage.
-
-    A state is (seen, lower, flag, fr, fc). `seen` is the mask of the
-    columns holding a filled cell so far; its bit for the cursor's column
-    says whether the cell above is covered, and once a column's bottom-most
-    cell is passed the bit is always set. `lower` keeps, for the corner
-    columns, whether a filled cell sits in row index >= 1. `flag` is 0 while
-    the row has no filled cell, 1 when its only one is in column 0 and 2
-    otherwise (rows without a corner use 2 for any). `fr`, `fc` count the
-    filled cells of the first row and of the first column. A state's value is
-    (fillings, AB, A1, 1B, OneOne): how many partial fillings reach it, and
-    how many empty corners of each class (see `noc_class`) they hold in all.
-    The corners are the last cells of the rows in `corner_rows`, each the
-    bottom-most cell of its column.
-
-    Returns {(fr, fc): (fillings, AB, A1, 1B, OneOne)} over the complete
-    fillings. `last_row` is `_bottom_cells(lengths)`."""
-    corner_cols = 0
-    for r in corner_rows:
-        corner_cols |= 1 << (lengths[r] - 1)
-    states = {(0, 0, 0, 0, 0): (1, 0, 0, 0, 0)}
-    for r, lam in enumerate(lengths):
-        corner = lam - 1 if r in corner_rows else -1
-        for c in range(lam):
-            bit = 1 << c
-            cell = rules[r][c]
-            must = last_row[r] & bit  # filled unless the column is covered
-            end = c == lam - 1
-            # what a filled cell here does to the flag, lower, fr and fc
-            if end:
-                flag_to = 0
-            else:
-                flag_to = 1 if c == 0 and corner >= 0 else 2
-            lower_to = bit & corner_cols if r else 0
-            dfr = 1 if r == 0 else 0
-            dfc = 1 if c == 0 else 0
-            nxt = {}
-            get = nxt.get
-            for key, val in states.items():
-                seen, lower, flag, fr, fc = key
-                may = cell[(2 if flag else 0) | (1 if seen & bit else 0)]
-                if may & _EMPTY and not (must and not seen & bit):
-                    if c == corner:
-                        # column test: no filled cell in rows 1.. above it;
-                        # row test: none left of it but in column 0
-                        i = (3 if lower & bit else 1) + (1 if flag == 2 else 0)
-                        v = list(val)
-                        v[i] += v[0]
-                        v = tuple(v)
-                        to = (seen, lower & ~bit, 0, fr, fc)
-                    else:
-                        v = val
-                        to = (seen, lower, 0, fr, fc) if end else key
-                    old = get(to)
-                    nxt[to] = v if old is None else tuple(map(add, old, v))
-                if may & _FILLED:
-                    low = lower & ~bit if c == corner else lower | lower_to
-                    to = (seen | bit, low, flag_to, fr + dfr, fc + dfc)
-                    old = get(to)
-                    nxt[to] = val if old is None else tuple(map(add, old, val))
-            states = nxt
-    full = (1 << width) - 1
-    out: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (seen, _, _, fr, fc), val in states.items():
-        if seen == full:
-            old = out.get((fr, fc))
-            out[(fr, fc)] = val if old is None else tuple(map(add, old, val))
-    return out
 
 
 def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
@@ -718,12 +619,66 @@ def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
     {(first-row dots, first-column dots): (fillings, AB, A1, 1B, OneOne)},
     where the last four count the undotted corners of each class of
     `NOC_CLASSES` over those fillings. A corner is the last cell of a row
-    that is also the bottom-most cell of its column."""
-    last_row = _bottom_cells(lengths)
-    corner_rows = frozenset(
-        r for r, lam in enumerate(lengths) if lam and last_row[r] >> (lam - 1) & 1
-    )
-    return _tally_fillings(lengths, width, _tlt_rules(lengths), last_row, corner_rows)
+    that is also the bottom-most cell of its column.
+
+    A frontier DP over the moves of `_cell_moves`. A state is (seen, lower,
+    flag, fr, fc). `seen` is the key's column mask; its bit for the move's
+    column says whether the cell above is covered. `lower` keeps, for the
+    corner columns, whether a filled cell sits in row index >= 1. `flag` is
+    0 while the row has no filled cell, 1 when its only one is in column 0
+    and 2 otherwise (rows without a corner use 2 for any). `fr`, `fc` count
+    the filled cells of the first row and of the first column. A state's
+    value is (fillings, AB, A1, 1B, OneOne): how many partial fillings reach
+    it, and how many empty corners of each class (see `noc_class`) they hold
+    in all."""
+    moves = _cell_moves(lengths, _tlt_rules(lengths))
+    corner_rows = {r for r, lam in enumerate(lengths) if lam > max(lengths[r + 1 :], default=0)}
+    corner_cols = 0
+    for r in corner_rows:
+        corner_cols |= 2 << (lengths[r] - 1)
+    states = {(0, 0, 0, 0, 0): (1, 0, 0, 0, 0)}
+    for r, bit, may, end in moves:
+        corner = end and r in corner_rows
+        # what a filled cell here does to the flag, lower, fr and fc
+        if end:
+            flag_to = 0
+        else:
+            flag_to = 1 if bit == 2 and r in corner_rows else 2
+        lower_to = bit & corner_cols if r else 0
+        dfr = 1 if r == 0 else 0
+        dfc = 1 if bit == 2 else 0
+        nxt = {}
+        get = nxt.get
+        for key, val in states.items():
+            seen, lower, flag, fr, fc = key
+            ok = may[(2 if flag else 0) | (1 if seen & bit else 0)]
+            if ok & _EMPTY:
+                if corner:
+                    # column test: no filled cell in rows 1.. above it;
+                    # row test: none left of it but in column 0
+                    i = (3 if lower & bit else 1) + (1 if flag == 2 else 0)
+                    v = list(val)
+                    v[i] += v[0]
+                    v = tuple(v)
+                    to = (seen, lower & ~bit, 0, fr, fc)
+                else:
+                    v = val
+                    to = (seen, lower, 0, fr, fc) if end else key
+                old = get(to)
+                nxt[to] = v if old is None else tuple(map(add, old, v))
+            if ok & _FILLED:
+                low = lower & ~bit if corner else lower | lower_to
+                to = (seen | bit, low, flag_to, fr + dfr, fc + dfc)
+                old = get(to)
+                nxt[to] = val if old is None else tuple(map(add, old, val))
+        states = nxt
+    done = ((1 << width) - 1) << 1
+    out: dict[tuple[int, int], tuple[int, ...]] = {}
+    for (seen, _, _, fr, fc), val in states.items():
+        if seen == done:
+            old = out.get((fr, fc))
+            out[(fr, fc)] = val if old is None else tuple(map(add, old, val))
+    return out
 
 
 def pt_filling_count(lengths: tuple[int, ...], width: int) -> int:

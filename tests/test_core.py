@@ -356,8 +356,6 @@ class TestNatValidation:
             NonAmbiguousTree(t)
 
     def test_transpose_swaps_dims(self):
-        from treelike.core import transpose_nat
-
         for nat in enumerate_nat(1, 2):
-            tt = transpose_nat(nat)
+            tt = NonAmbiguousTree(transpose(nat.tableau))
             assert (tt.height, tt.width) == (2, 1)

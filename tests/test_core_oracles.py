@@ -8,6 +8,7 @@ yield the same sequences, accept and reject exactly the same inputs with
 the same first error, and write the same text.
 """
 
+from collections import Counter
 from itertools import product
 
 from hypothesis import given, settings
@@ -28,7 +29,14 @@ from treelike.core import (
     _pt_paths,
     _tlt_paths,
     enumerate_nat,
+    filling_count,
+    filling_rank,
+    filling_unrank,
+    first_col_points,
+    first_row_points,
+    pt_filling_count,
     pt_fillings,
+    tlt_filling_tallies,
     tlt_fillings,
     to_text,
 )
@@ -189,6 +197,16 @@ def row_major_fillings(lengths):
         yield tuple(rows)
 
 
+def shapes_in_any_row_order():
+    """Every shape of 1-3 rows with 0-3 cells each, rows in any order, at
+    every width from its longest row up to 4: 224 shapes, most of them no
+    border path gives, where a row may be longer than the one above it."""
+    for k in range(1, 4):
+        for lengths in product(range(4), repeat=k):
+            for width in range(max(lengths), 5):
+                yield lengths, width
+
+
 def all_steps(max_len):
     for n in range(1, max_len + 1):
         for steps in product(SOUTH + WEST, repeat=n):
@@ -209,6 +227,22 @@ def test_fillings_match_recursive_engine():
             p = BorderPath(steps)
             args = (p.row_lengths, p.num_cols)
             assert list(pt_fillings(*args)) == list(recursive_pt_fillings(*args)), steps
+    # every walk over the cell moves agrees on shapes in any row order
+    shapes = list(shapes_in_any_row_order())
+    assert len(shapes) == 224
+    for lengths, width in shapes:
+        tlt = list(tlt_fillings(lengths, width))
+        pt = list(pt_fillings(lengths, width))
+        assert tlt == list(recursive_tlt_fillings(lengths, width)), (lengths, width)
+        assert pt == list(recursive_pt_fillings(lengths, width)), (lengths, width)
+        assert filling_count(lengths, width) == len(tlt), (lengths, width)
+        assert pt_filling_count(lengths, width) == len(pt), (lengths, width)
+        firsts = Counter((first_row_points(rows), first_col_points(rows)) for rows in tlt)
+        tallies = tlt_filling_tallies(lengths, width)
+        assert {key: val[0] for key, val in tallies.items()} == firsts, (lengths, width)
+        for i, rows in enumerate(tlt):
+            assert filling_rank(lengths, width, rows) == i, (lengths, width)
+            assert filling_unrank(lengths, width, i) == rows, (lengths, width)
 
 
 def test_fillings_are_the_valid_cell_assignments_in_order():

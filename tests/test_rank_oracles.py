@@ -51,7 +51,7 @@ from treelike.core import (
     pt_filling_count,
     pt_fillings,
     tlt_fillings,
-    transpose_nat,
+    transpose,
 )
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def table_corner_to_run(t, corner):
     r_cycles = CycleForm.from_permutation(perms_r[fc_r][ranks_r[t_r]])
 
     grid, ranks = table_grid(fr_l, fc_r)
-    m = grid[ColoredWord][ranks[transpose_nat(nat)]]
+    m = grid[ColoredWord][ranks[NonAmbiguousTree(transpose(nat.tableau))]]
     return triplet_to_run(l_cycles, r_cycles, m)
 
 
@@ -103,7 +103,7 @@ def table_run_to_corner(mr):
     t_r = buckets_r[m.w][perm_ranks_r[r_cycles.to_permutation()]]
 
     grid, ranks = table_grid(m.h, m.w)
-    nat = transpose_nat(grid[NonAmbiguousTree][ranks[m]])
+    nat = NonAmbiguousTree(transpose(grid[NonAmbiguousTree][ranks[m]].tableau))
     return glue(t_l, t_r, nat)
 
 
