@@ -405,54 +405,44 @@ _TLT_CELL = (_EMPTY, _EITHER, _EITHER, _EMPTY)
 _TLT_ROW_END = (0, _FILLED, _EITHER, _EMPTY)
 # a 0 may not have a 1 both above it and to its left
 _PT_CELL = (_EITHER, _EITHER, _EITHER, _FILLED)
+# a family's rules: (top-left cell, any other cell, last cell of a row)
+_TLT_RULES = (_TLT_ROOT, _TLT_CELL, _TLT_ROW_END)
+_PT_RULES = (_PT_CELL,) * 3
 
 
-def _tlt_rules(lengths: tuple[int, ...]) -> list:
-    rules = []
-    for r, lam in enumerate(lengths):
-        row = [_TLT_CELL] * lam
-        if lam:
-            row[-1] = _TLT_ROW_END
-            if r == 0:
-                row[0] = _TLT_ROOT
-        rules.append(row)
-    return rules
-
-
-def _pt_rules(lengths: tuple[int, ...]) -> list:
-    return [(_PT_CELL,) * lam for lam in lengths]
-
-
-def _cell_moves(lengths: tuple[int, ...], rules) -> list:
+@lru_cache(maxsize=4096)
+def _cell_moves(lengths: tuple[int, ...], rules: tuple) -> tuple:
     """The cells of a shape in row-major order, each as a move (r, bit, may,
-    end) of a walk over its fillings. Every walk reads these moves, so the
-    cell rules and column coverage are applied here alone.
+    end) of a walk over its fillings under a family's `rules`. Every walk
+    reads these moves, so the cell rules and column coverage are applied
+    here alone.
 
     The walk's state key is (seen << 1) | flag: `seen` is the mask of the
     columns holding a filled cell so far and `flag` says whether the current
     row holds one. `r` is the cell's row and `bit` its column's bit in the
-    key. `may` is `rules[r][c]`, indexed by flag * 2 + (key & bit != 0), with
-    column coverage folded in: the bottom-most cell of a column with no
+    key. `may` is the cell's rule, indexed by flag * 2 + (key & bit != 0),
+    with column coverage folded in: the bottom-most cell of a column with no
     filled cell above it must be filled. `end` marks the last cell of a row.
     An empty cell keeps the key, a filled one sets `bit | 1`, and `end`
     then clears the flag; the complete fillings end at key `full << 1`."""
     if not lengths:
         raise ValueError("a shape needs at least one row")
+    root, cell, row_end = rules
     moves = []
     for r, lam in enumerate(lengths):
         below = max(lengths[r + 1 :], default=0)  # the columns later rows reach
         for c in range(lam):
-            may = rules[r][c]
+            may = root if r == c == 0 else row_end if c == lam - 1 else cell
             if c >= below:
                 may = (may[0] & _FILLED, may[1], may[2] & _FILLED, may[3])
             moves.append((r, 2 << c, may, c == lam - 1))
-    return moves
+    return tuple(moves)
 
 
-def _fillings(lengths: tuple[int, ...], width: int, rules) -> Iterator[tuple[int, ...]]:
-    """Row-major fillings, empty before filled, where rules[r][c] says what
-    cell (r, c) may hold and every column must end up holding a filled cell.
-    Yields one bitmask per row.
+def _fillings(lengths: tuple[int, ...], width: int, rules: tuple) -> Iterator[tuple[int, ...]]:
+    """Row-major fillings, empty before filled, where a family's `rules` say
+    what each cell may hold and every column must end up holding a filled
+    cell. Yields one bitmask per row.
 
     A depth-first walk over the moves of `_cell_moves` that always takes the
     empty branch first and keeps the filled branches it passed on a stack,
@@ -492,16 +482,16 @@ def _fillings(lengths: tuple[int, ...], width: int, rules) -> Iterator[tuple[int
 def tlt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
     """All valid dot placements for a tree-like shape, in row-major order
     with empty before dot. Yields one bitmask per row."""
-    yield from _fillings(lengths, width, _tlt_rules(lengths))
+    yield from _fillings(lengths, width, _TLT_RULES)
 
 
 def pt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
     """All valid 0/1 fillings for a permutation-tableau shape, row-major,
     0 before 1."""
-    yield from _fillings(lengths, width, _pt_rules(lengths))
+    yield from _fillings(lengths, width, _PT_RULES)
 
 
-def _prefix_counts(moves: list) -> list[dict[int, int]]:
+def _prefix_counts(moves: tuple) -> list[dict[int, int]]:
     """For each position of the walk, {state key: partial fillings reaching
     it}; the last entry holds the complete fillings."""
     layers = [{0: 1}]
@@ -521,12 +511,12 @@ def _prefix_counts(moves: list) -> list[dict[int, int]]:
 
 
 @lru_cache(maxsize=256)
-def _tlt_completions(lengths: tuple[int, ...], width: int) -> tuple[list, list]:
+def _tlt_completions(lengths: tuple[int, ...], width: int) -> tuple[tuple, list]:
     """(moves, counts) for the tree-like fillings of a shape: the cell
     moves of `_cell_moves` and, per position, {state key: complete fillings
     through it} over the reachable states. One forward pass finds the
     states, one backward pass counts their completions."""
-    moves = _cell_moves(lengths, _tlt_rules(lengths))
+    moves = _cell_moves(lengths, _TLT_RULES)
     layers = _prefix_counts(moves)
     counts: list = [None] * len(moves)
     counts.append({((1 << width) - 1) << 1: 1})
@@ -631,7 +621,7 @@ def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
     value is (fillings, AB, A1, 1B, OneOne): how many partial fillings reach
     it, and how many empty corners of each class (see `noc_class`) they hold
     in all."""
-    moves = _cell_moves(lengths, _tlt_rules(lengths))
+    moves = _cell_moves(lengths, _TLT_RULES)
     corner_rows = {r for r, lam in enumerate(lengths) if lam > max(lengths[r + 1 :], default=0)}
     corner_cols = 0
     for r in corner_rows:
@@ -684,7 +674,7 @@ def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
 def pt_filling_count(lengths: tuple[int, ...], width: int) -> int:
     """How many fillings `pt_fillings` yields for a shape, counted without
     listing them."""
-    final = _prefix_counts(_cell_moves(lengths, _pt_rules(lengths)))[-1]
+    final = _prefix_counts(_cell_moves(lengths, _PT_RULES))[-1]
     return final.get(((1 << width) - 1) << 1, 0)
 
 
