@@ -512,44 +512,39 @@ def _prefix_counts(moves: tuple) -> list[dict[int, int]]:
 
 @lru_cache(maxsize=256)
 def _tlt_completions(lengths: tuple[int, ...], width: int) -> tuple[tuple, list]:
-    """(moves, counts) for the tree-like fillings of a shape: the cell
-    moves of `_cell_moves` and, per position, {state key: complete fillings
-    through it} over the reachable states. One forward pass finds the
-    states, one backward pass counts their completions."""
+    """(moves, table) for the tree-like fillings of a shape: the cell moves
+    of `_cell_moves` and, per position, {state key: (n, n_empty, empty,
+    filled)} over the states the walk reaches. From the state, `n` fillings
+    complete and `n_empty` of them leave the cell empty; `empty` and
+    `filled` are the keys after the cell, None where its rule forbids that
+    branch. One forward pass finds the states and one backward pass fills
+    in the rest, so rank and unrank only read the table."""
     moves = _cell_moves(lengths, _TLT_RULES)
     layers = _prefix_counts(moves)
-    counts: list = [None] * len(moves)
-    counts.append({((1 << width) - 1) << 1: 1})
+    done = ((1 << width) - 1) << 1
+    table: list = [None] * len(moves)
+    table.append({key: (1 if key == done else 0,) for key in layers[-1]})
     for p in range(len(moves) - 1, -1, -1):
         _, bit, may, end = moves[p]
-        after = counts[p + 1]
-        here = {}
+        after = table[p + 1]
+        here = table[p] = {}
         for key in layers[p]:
             ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
-            n = 0
+            n = n_empty = 0
+            empty = filled = None
             if ok & _EMPTY:
-                n += after.get(key & ~1 if end else key, 0)
+                empty = key & ~1 if end else key
+                n = n_empty = after[empty][0]
             if ok & _FILLED:
-                n += after.get((key | bit) & ~1 if end else key | bit | 1, 0)
-            if n:
-                here[key] = n
-        counts[p] = here
-    return moves, counts
+                filled = (key | bit) & ~1 if end else key | bit | 1
+                n += after[filled][0]
+            here[key] = (n, n_empty, empty, filled)
+    return moves, table
 
 
 def filling_count(lengths: tuple[int, ...], width: int) -> int:
     """How many fillings `tlt_fillings(lengths, width)` yields."""
-    return _tlt_completions(lengths, width)[1][0].get(0, 0)
-
-
-def _branches(key: int, move: tuple) -> tuple[int, int, int]:
-    """(may, empty, filled) for a move from state `key`: what its cell may
-    hold and the keys after it is left empty or filled."""
-    _, bit, may, end = move
-    ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
-    if end:
-        return ok, key & ~1, (key | bit) & ~1
-    return ok, key, key | bit | 1
+    return _tlt_completions(lengths, width)[1][0][0][0]
 
 
 def filling_rank(lengths: tuple[int, ...], width: int, rows: tuple[int, ...]) -> int:
@@ -557,7 +552,7 @@ def filling_rank(lengths: tuple[int, ...], width: int, rows: tuple[int, ...]) ->
     counted from 0, found by summing the completions of every empty branch
     the filling passes over. Raises ValueError when the tree-like rules
     reject the filling."""
-    moves, counts = _tlt_completions(lengths, width)
+    _, table = _tlt_completions(lengths, width)
     if len(rows) != len(lengths):
         raise ValueError("row count does not match the shape")
     rank = key = p = 0
@@ -565,18 +560,17 @@ def filling_rank(lengths: tuple[int, ...], width: int, rows: tuple[int, ...]) ->
         if mask < 0 or mask >> lam:
             raise ValueError("dot outside its row")
         for c in range(lam):
-            ok, empty, filled = _branches(key, moves[p])
+            _, n_empty, empty, filled = table[p][key]
             p += 1
-            if not mask >> c & 1:
-                if not ok & _EMPTY:
-                    raise ValueError(f"cell at row {r + 1}, column index {c} must hold a dot")
+            if mask >> c & 1:
+                if filled is None:
+                    raise ValueError(f"cell at row {r + 1}, column index {c} may not hold a dot")
+                rank += n_empty
+                key = filled
+            elif empty is None:
+                raise ValueError(f"cell at row {r + 1}, column index {c} must hold a dot")
+            else:
                 key = empty
-                continue
-            if not ok & _FILLED:
-                raise ValueError(f"cell at row {r + 1}, column index {c} may not hold a dot")
-            if ok & _EMPTY:
-                rank += counts[p].get(empty, 0)
-            key = filled
     if key != ((1 << width) - 1) << 1:
         raise ValueError("some column has no dot")
     return rank
@@ -589,17 +583,16 @@ def filling_unrank(lengths: tuple[int, ...], width: int, index: int) -> tuple[in
     fillings skipped."""
     if not 0 <= index < filling_count(lengths, width):
         raise ValueError(f"no filling at index {index}")
-    moves, counts = _tlt_completions(lengths, width)
+    moves, table = _tlt_completions(lengths, width)
     rows = [0] * len(lengths)
     key = 0
-    for p, move in enumerate(moves, 1):
-        ok, empty, filled = _branches(key, move)
-        n = counts[p].get(empty, 0) if ok & _EMPTY else 0
-        if index < n:
+    for (r, bit, _, _), here in zip(moves, table):
+        _, n_empty, empty, filled = here[key]
+        if index < n_empty:
             key = empty
         else:
-            index -= n
-            rows[move[0]] |= move[1] >> 1
+            index -= n_empty
+            rows[r] |= bit >> 1
             key = filled
     return tuple(rows)
 
