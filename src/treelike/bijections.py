@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import accumulate, groupby, permutations
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -33,30 +33,10 @@ from .core import (
     first_col_points,
     first_row_points,
     transpose_bits,
-    _bits,
 )
 
 # ---------------------------------------------------------------------------
 # column deletion
-
-
-def _top_rows(rows: tuple[int, ...], width: int) -> list[int]:
-    # row index of each column's topmost filled cell, -1 for an empty column
-    top = [-1] * width
-    seen = 0
-    for r, mask in enumerate(rows):
-        for c in _bits(mask & ~seen):
-            top[c] = r
-        seen |= mask
-    return top
-
-
-def _move_bits(mask: int, positions) -> int:
-    # move bit c of the mask to bit positions[c]
-    out = 0
-    for c in _bits(mask):
-        out |= 1 << positions[c]
-    return out
 
 
 def tlt_to_pt(t: TreeLikeTableau) -> PermutationTableau:
@@ -69,24 +49,14 @@ def tlt_to_pt(t: TreeLikeTableau) -> PermutationTableau:
     if t.is_degenerate:
         raise ValueError("no column to delete in a size-0 tableau")
     path = t.path
-    top_row = _top_rows(t.rows, path.num_cols)
     new_rows = []
-    for r, mask in enumerate(t.rows):
-        lam = path.row_lengths[r]
-        zero_dot_right = [False] * (lam + 1)
-        for c in range(lam - 1, -1, -1):
-            zero_dot_right[c] = zero_dot_right[c + 1] or (
-                bool((mask >> c) & 1) and top_row[c] != r
-            )
-        out = 0
-        for c in range(1, lam):
-            if (mask >> c) & 1:
-                one = top_row[c] == r
-            else:
-                one = not (zero_dot_right[c + 1] or top_row[c] > r)
-            if one:
-                out |= 1 << (c - 1)
-        new_rows.append(out)
+    seen = 0  # the columns holding a dot in the rows so far
+    for mask, lam in zip(t.rows, path.row_lengths):
+        below = mask & seen  # the dots with a dot above them: the dot-0s
+        seen |= mask
+        # empty cells of dotted columns right of the last dot-0 become 1s
+        free = seen & ~mask & -(1 << below.bit_length()) & ((1 << lam) - 1)
+        new_rows.append((mask & ~below | free) >> 1)
     return PermutationTableau(BorderPath(path.steps[:-1]), tuple(new_rows))
 
 
@@ -95,17 +65,13 @@ def pt_to_tlt(p: PermutationTableau) -> TreeLikeTableau:
     one dot at its rightmost restricted 0, or in the new column if it has
     none."""
     path = p.path
-    new_rows = [0] * path.num_rows
-    for c, r in enumerate(_top_rows(p.rows, path.num_cols)):
-        new_rows[r] |= 1 << (c + 1)
-    above = 0
-    for r, mask in enumerate(p.rows):
-        lam = path.row_lengths[r]
-        spot = -1
-        for c in range(lam):
-            if not (mask >> c) & 1 and (above >> c) & 1:
-                spot = c
-        new_rows[r] |= 1 << (spot + 1) if spot >= 0 else 1
+    new_rows = []
+    above = 0  # the columns holding a 1 in the rows so far
+    for mask, lam in zip(p.rows, path.row_lengths):
+        # a restricted 0 has a 1 above it; one past the rightmost is its
+        # column once the new column is put in front, and 0 when there is none
+        spot = (above & ~mask & ((1 << lam) - 1)).bit_length()
+        new_rows.append((mask & ~above) << 1 | 1 << spot)
         above |= mask
     return TreeLikeTableau(BorderPath(path.steps + WEST), tuple(new_rows))
 
@@ -123,6 +89,30 @@ def corner_transfer_delta(t: TreeLikeTableau) -> int:
 # cutting and gluing at a corner
 
 
+def _gather(mask: int, sel: int) -> int:
+    # the bits of the mask at the set bits of sel, packed low in order
+    out = j = 0
+    while sel:
+        low = sel & -sel
+        if mask & low:
+            out |= 1 << j
+        j += 1
+        sel ^= low
+    return out
+
+
+def _scatter(mask: int, sel: int) -> int:
+    # inverse of _gather: bit j of the mask moves to the j-th set bit of sel
+    out = 0
+    while mask:
+        low = sel & -sel
+        if mask & 1:
+            out |= low
+        mask >>= 1
+        sel ^= low
+    return out
+
+
 def cut_at_corner(
     t: TreeLikeTableau, corner: Cell
 ) -> tuple[TreeLikeTableau, TreeLikeTableau, NonAmbiguousTree]:
@@ -137,40 +127,35 @@ def cut_at_corner(
     if corner not in t.path.corner_cells:
         raise ValueError(f"{corner} is not a corner")
     i = corner.row
-    n = t.size
     steps = t.path.steps
     r_c = t.path.row_index(i) + 1
     w_head = t.path.col_index(i + 1) + 1
     w_l = w_head - 1
-    m_mask = (1 << w_head) - 1
-    m_rows = [t.rows[r] & m_mask for r in range(r_c)]
-    col_union = 0
-    for m in m_rows:
-        col_union |= m
+    # the rectangle: the first r_c rows, cut to the first w_head columns
+    rect = [m & ((1 << w_head) - 1) for m in t.rows[:r_c]]
+    used = 0
+    for m in rect:
+        used |= m
 
-    if n - i == 0:
+    if i == t.size:
         t_l = EMPTY_ROW_TABLEAU
     else:
-        first = col_union & ((1 << w_l) - 1)
+        first = used & ((1 << w_l) - 1)
         t_l = TreeLikeTableau(
             BorderPath(SOUTH + steps[i + 1 :]), (first,) + t.rows[r_c:]
         )
 
-    if i - 1 == 0:
+    if i == 1:
         t_r = EMPTY_COL_TABLEAU
     else:
         rows_r = tuple(
-            ((t.rows[r] >> w_head) << 1) | (1 if m_rows[r] else 0)
-            for r in range(r_c - 1)
+            (row >> w_head) << 1 | (1 if m else 0) for row, m in zip(t.rows, rect[:-1])
         )
         t_r = TreeLikeTableau(BorderPath(steps[: i - 1] + WEST), rows_r)
 
-    kept_rows = [r for r in range(r_c) if m_rows[r]]
-    kept_cols = list(_bits(col_union))
-    col_pos = {c: j for j, c in enumerate(kept_cols)}
-    nat_rows = [_move_bits(m_rows[r], col_pos) for r in kept_rows]
-    nat_path = BorderPath(SOUTH * len(kept_rows) + WEST * len(kept_cols))
-    nat = NonAmbiguousTree(TreeLikeTableau(nat_path, tuple(nat_rows)))
+    nat_rows = tuple(_gather(m, used) for m in rect if m)
+    nat_path = BorderPath(SOUTH * len(nat_rows) + WEST * used.bit_count())
+    nat = NonAmbiguousTree(TreeLikeTableau(nat_path, nat_rows))
     return t_l, t_r, nat
 
 
@@ -196,22 +181,16 @@ def glue(
     steps = t_r.path.steps[:-1] + SOUTH + WEST + t_l.path.steps[1:]
     w_l = t_l.path.num_cols
     w_head = w_l + 1
-    r_c = len(t_r.rows) + 1
-
-    designated_rows = [r for r in range(len(t_r.rows)) if t_r.rows[r] & 1]
-    designated_rows.append(r_c - 1)
-    designated_cols = list(_bits(t_l.rows[0])) if t_l.rows else []
-    designated_cols.append(w_l)
-
-    row_m = {
-        r: _move_bits(nat.tableau.rows[a], designated_cols)
-        for a, r in enumerate(designated_rows)
-    }
-
-    masks = []
-    for r in range(r_c - 1):
-        masks.append(row_m.get(r, 0) | ((t_r.rows[r] >> 1) << w_head))
-    masks.append(row_m[r_c - 1])
+    # the tree's columns are the left piece's first-row dots and column w_l;
+    # its rows go to the right piece's rows with a first-column dot, then
+    # to the corner's row
+    sel = t_l.rows[0] | 1 << w_l
+    tree = iter(nat.tableau.rows)
+    masks = [
+        (_scatter(next(tree), sel) if row & 1 else 0) | (row >> 1) << w_head
+        for row in t_r.rows
+    ]
+    masks.append(_scatter(next(tree), sel))
     masks.extend(t_l.rows[1:])
     t = TreeLikeTableau(BorderPath(steps), tuple(masks))
     return t, Cell(i, i + 1)
@@ -515,27 +494,14 @@ class MarkedRun:
 # the block swap
 
 
-def _r0_index(letters: tuple[ColoredLetter, ...]) -> int:
-    for idx, l in enumerate(letters):
-        if l.pointed and l.value == 0:
-            return idx
-    raise ValueError("word has no pointed 0")
-
-
-def _blocks(letters) -> list[list[ColoredLetter]]:
-    out: list[list[ColoredLetter]] = []
-    for l in letters:
-        if out and out[-1][-1].pointed == l.pointed:
-            out[-1].append(l)
-        else:
-            out.append([l])
-    return out
+# every word holds it: the constructor checks the pointed letters 0..h
+_POINTED_0 = ColoredLetter(0, True)
 
 
 def _swap_block_pairs(m: ColoredWord, idx: int) -> ColoredWord:
     # swap each block pair after the pointed 0 at index idx
     head = list(m.letters[: idx + 1])
-    blocks = _blocks(m.letters[idx + 1 :])
+    blocks = [list(g) for _, g in groupby(m.letters[idx + 1 :], lambda l: l.pointed)]
     if len(blocks) % 2:
         raise ValueError("the letters after the pointed 0 do not form block pairs")
     for j in range(0, len(blocks), 2):
@@ -547,7 +513,7 @@ def _swap_block_pairs(m: ColoredWord, idx: int) -> ColoredWord:
 def m_star(m: ColoredWord) -> ColoredWord:
     """Swap each unpointed/pointed block pair after the pointed 0; identity
     when the pointed 0 is last or followed by a pointed letter."""
-    idx = _r0_index(m.letters)
+    idx = m.letters.index(_POINTED_0)
     if idx == len(m.letters) - 1 or m.letters[idx + 1].pointed:
         return m
     return _swap_block_pairs(m, idx)
@@ -558,7 +524,7 @@ def m_star_inverse(m: ColoredWord) -> ColoredWord:
     letter being unpointed."""
     if m.letters[-1].pointed:
         return m
-    return _swap_block_pairs(m, _r0_index(m.letters))
+    return _swap_block_pairs(m, m.letters.index(_POINTED_0))
 
 
 # ---------------------------------------------------------------------------

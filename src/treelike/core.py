@@ -32,25 +32,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class _cached:
-    """A value computed on first access and stored on the instance, which
-    then shadows this non-data descriptor. Unlike functools.cached_property
-    before Python 3.12, it takes no class-wide lock on each first access."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class Cell(NamedTuple):
     """A cell addressed by (row label, column label)."""
 
@@ -159,6 +140,8 @@ class TreeLikeTableau:
 
     Two degenerate size-0 values exist so that corner cutting is total: a
     single empty row (path "S") and a single empty column (path "W").
+    The constructor stores `size`, the number of dots, as a plain attribute
+    that is not a field, so equality, hashing and repr see path and rows only.
     """
 
     path: BorderPath
@@ -169,10 +152,12 @@ class TreeLikeTableau:
         if steps == SOUTH:
             if self.rows != (0,):
                 raise ValueError("single-row degenerate tableau must be empty")
+            self.__dict__["size"] = 0
             return
         if steps == WEST:
             if self.rows != ():
                 raise ValueError("single-column degenerate tableau must be empty")
+            self.__dict__["size"] = 0
             return
         if steps[0] != SOUTH:
             raise ValueError("first step must be South")
@@ -208,18 +193,14 @@ class TreeLikeTableau:
         if above != (1 << width) - 1:
             raise ValueError("some column has no dot")
         # one parent per dot and full coverage leave rows + columns - 1 dots,
-        # so the size needs no check; store what the `size` field computes
+        # so the size needs no check
         self.__dict__["size"] = sum(map(int.bit_count, self.rows))
-
-    @_cached
-    def size(self) -> int:
-        return sum(map(int.bit_count, self.rows))
 
     @property
     def is_degenerate(self) -> bool:
         return self.size == 0
 
-    @_cached
+    @property
     def dots(self) -> frozenset[Cell]:
         out = []
         cols_desc = sorted(self.path.col_labels, reverse=True)
