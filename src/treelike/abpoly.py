@@ -139,7 +139,7 @@ class RationalExpr:
 # weights
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def t_poly(n: int) -> BivarPoly:
     """Rising product (a+b)(a+b+1)...(a+b+n-2); 1 for n = 0 and n = 1."""
     if n < 0:
@@ -218,7 +218,7 @@ def corners_closed_form(n: int) -> BivarPoly:
 # row-count refinement
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def euler_table(n: int) -> dict[int, BivarPoly]:
     """Row-count refinement A(n, k) of the weighted count, by recurrence:
     A(n+1, k) = (a-1+k) A(n, k) + (b+n+1-k) A(n, k-1), from A(1, 1) = 1."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, groupby, permutations
+from itertools import accumulate, chain, groupby
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -26,14 +26,17 @@ from .core import (
     NonAmbiguousTree,
     PermutationTableau,
     TreeLikeTableau,
+    _tlt_paths,
     enumerate_nat,  # noqa: F401 -- unused here; bench/rep.py wraps it under this name
-    enumerate_tlt,
+    enumerate_tlt,  # noqa: F401 -- unused here; bench/rep.py wraps it under this name
     filling_rank,
     filling_unrank,
     first_col_points,
     first_row_points,
+    tlt_filling_tallies,
     transpose_bits,
 )
+from .counting import stirling_row
 
 # ---------------------------------------------------------------------------
 # column deletion
@@ -377,19 +380,20 @@ def _word_unrank(h: int, w: int, index: int) -> ColoredWord:
         a, b = len(pointed), len(plain)
         i = bisect_right(pointed, last) if last_pointed else 0
         j = 0 if last_pointed else bisect_right(plain, last)
+        # the completions after an unpointed or a pointed letter
+        after_u = table[a][b - 1][1] if b else None
+        after_p = table[a - 1][b][0] if a else None
         # walk the letters that may come next in key order, skipping whole
         # subtrees of words until the index falls inside one
         while True:
             if j < b and (i == a or plain[j] <= pointed[i]):
-                sums = table[a][b - 1][1]
-                n = sums[b - j] - sums[b - j - 1]
+                n = after_u[b - j] - after_u[b - j - 1]
                 if index < n:
                     last, last_pointed = plain.pop(j), False
                     break
                 j += 1
             else:
-                sums = table[a - 1][b][0]
-                n = sums[a - i] - sums[a - i - 1]
+                n = after_p[a - i] - after_p[a - i - 1]
                 if index < n:
                     last, last_pointed = pointed.pop(i), True
                     break
@@ -406,7 +410,7 @@ class CycleForm:
     cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen = sorted(v for cyc in self.cycles for v in cyc)
+        seen = sorted(chain.from_iterable(self.cycles))
         if seen != list(range(1, len(seen) + 1)):
             raise ValueError("cycles must partition 1..m")
         prev = 0
@@ -419,7 +423,7 @@ class CycleForm:
 
     @property
     def size(self) -> int:
-        return sum(len(c) for c in self.cycles)
+        return sum(map(len, self.cycles))
 
     @staticmethod
     def from_permutation(p: tuple[int, ...]) -> "CycleForm":
@@ -441,11 +445,12 @@ class CycleForm:
         return CycleForm(tuple(cycles))
 
     def to_permutation(self) -> tuple[int, ...]:
-        n = self.size
-        out = [0] * n
+        out = [0] * self.size
         for cyc in self.cycles:
-            for j, v in enumerate(cyc):
-                out[v - 1] = cyc[(j + 1) % len(cyc)]
+            prev = cyc[-1]
+            for v in cyc:
+                out[prev - 1] = v
+                prev = v
         return tuple(out)
 
     def text(self) -> str:
@@ -562,47 +567,29 @@ def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
     maxima, and record the block order as a colored word."""
     p, k = mr.perm, mr.k
     v = p[k - 1]
-
-    appearance: list[tuple[bool, tuple[int, ...] | None]] = []
-    small_cycles: list[tuple[int, ...]] = []
-    big_cycles: list[tuple[int, ...]] = []
-    j = 0
-    while j < len(p):
-        if p[j] == v:
-            appearance.append((True, None))
-            j += 1
-            continue
-        small = p[j] < v
-        block = []
-        while j < len(p) and p[j] != v and (p[j] < v) == small:
-            block.append(p[j])
-            j += 1
-        # a new cycle starts at each left-to-right maximum of the block
-        cycles: list[list[int]] = []
-        for e in block:
-            if not cycles or e > cycles[-1][0]:
-                cycles.append([e])
-            else:
-                cycles[-1].append(e)
-        for cyc in map(tuple, cycles):
-            (small_cycles if small else big_cycles).append(cyc)
-            appearance.append((small, cyc))
-
-    l_sorted = sorted(small_cycles, key=lambda c: c[0])
-    l_rank = {c: idx + 1 for idx, c in enumerate(l_sorted)}
-    big_shifted = [tuple(x - v for x in c) for c in big_cycles]
-    r_sorted = sorted(big_shifted, key=lambda c: c[0])
-    r_rank = {c: idx + 1 for idx, c in enumerate(r_sorted)}
-
-    letters = []
-    for small, cyc in appearance:
-        if cyc is None:
-            letters.append(ColoredLetter(0, True))
-        elif small:
-            letters.append(ColoredLetter(l_rank[cyc], True))
+    small_cycles: list[list[int]] = []
+    big_cycles: list[list[int]] = []
+    order = []  # per letter, the maximum of its cycle; v for the pointed 0
+    cyc: list[int] = []  # the cycle being built; empty at a block's start
+    for e in p:
+        if e == v:
+            order.append(v)
+            cyc = []
+        elif not cyc or (e < v) != (cyc[0] < v) or e > cyc[0]:
+            # a new cycle starts at each left-to-right maximum of a block
+            cyc = [e]
+            (small_cycles if e < v else big_cycles).append(cyc)
+            order.append(e)
         else:
-            letters.append(ColoredLetter(r_rank[tuple(x - v for x in cyc)], False))
-    word = ColoredWord(tuple(letters), len(l_sorted), len(r_sorted))
+            cyc.append(e)
+
+    # cycles start with distinct maxima, so sorting them sorts by maxima
+    l_sorted = sorted(map(tuple, small_cycles))
+    r_sorted = sorted(tuple(x - v for x in c) for c in big_cycles)
+    letter = {c[0]: ColoredLetter(i, True) for i, c in enumerate(l_sorted, 1)}
+    letter.update((c[0] + v, ColoredLetter(i, False)) for i, c in enumerate(r_sorted, 1))
+    letter[v] = _POINTED_0
+    word = ColoredWord(tuple(map(letter.__getitem__, order)), len(l_sorted), len(r_sorted))
     word = m_star_inverse(word)
     if not word.is_valid():
         raise ValueError("the block order does not give a valid colored word")
@@ -610,41 +597,146 @@ def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
 
 
 # ---------------------------------------------------------------------------
-# rank tables and the corner-to-run map
+# ranking the side pieces and the corner-to-run map
 
 
-def _bucket(items, key) -> tuple[dict, dict]:
-    """Group items by key, keeping their order; an item's rank is its
-    position inside its group."""
-    buckets: dict = {}
-    for x in items:
-        buckets.setdefault(key(x), []).append(x)
-    ranks = {x: i for lst in buckets.values() for i, x in enumerate(lst)}
-    return buckets, ranks
+@lru_cache(maxsize=64)
+def _piece_paths(k: int) -> tuple[tuple[BorderPath, ...], dict, dict]:
+    """(paths, index, offsets) for the size-k tableaux: the border paths in
+    `enumerate_tlt` order, each path's position by its steps, and for each
+    (stat, d), stat `first_row_points` or `first_col_points`, the prefix
+    sums over the paths of the tableaux with stat d, so entry i counts
+    those on earlier paths. Read off the per-path tallies of
+    `tlt_filling_tallies`, 2^(k-1) of them."""
+    paths = tuple(BorderPath(steps) for steps in _tlt_paths(k))
+    counts: dict = {}
+    for i, path in enumerate(paths):
+        for (fr, fc), tally in tlt_filling_tallies(path.row_lengths, path.num_cols).items():
+            for key in ((first_row_points, fr), (first_col_points, fc)):
+                counts.setdefault(key, [0] * len(paths))[i] += tally[0]
+    index = {path.steps: i for i, path in enumerate(paths)}
+    return paths, index, {key: list(accumulate(c, initial=0)) for key, c in counts.items()}
 
 
-@lru_cache(maxsize=None)
-def _tlts(n: int) -> tuple[TreeLikeTableau, ...]:
-    """Every tableau of size n, enumerated once for both rank tables."""
-    return tuple(enumerate_tlt(n))
+def _piece_rank(t: TreeLikeTableau, dots: tuple) -> int:
+    """The position of a side piece among the tableaux of its size whose
+    first-row or first-column dots match `dots` = (stat, d), in
+    `enumerate_tlt` order: the ones on earlier paths, then its filling's
+    rank among the fillings of its path with stat d. A size-0 piece is
+    alone at 0."""
+    if not t.size:
+        return 0
+    _, index, offsets = _piece_paths(t.size)
+    path = t.path
+    before = offsets[dots][index[path.steps]]
+    return before + filling_rank(path.row_lengths, path.num_cols, t.rows, dots)
 
 
-@lru_cache(maxsize=None)
-def _tlts_by(stat, n: int):
-    """Tableaux of size n bucketed by a first-row or first-column count.
-    Size 0 holds the one degenerate piece that cutting leaves on that side."""
-    if n:
-        items = _tlts(n)
-    else:
-        items = [EMPTY_ROW_TABLEAU if stat is first_row_points else EMPTY_COL_TABLEAU]
-    return _bucket(items, lambda t: stat(t.rows))
+def _piece_unrank(stat, k: int, d: int, index: int) -> TreeLikeTableau:
+    """The size-k tableau with stat d at position `index`, the inverse of
+    `_piece_rank`; size 0 gives the degenerate piece cutting leaves on that
+    side. ValueError when there is none."""
+    if not k:
+        if d or index:
+            raise ValueError(f"no size-0 piece with {d} dots at index {index}")
+        return EMPTY_ROW_TABLEAU if stat is first_row_points else EMPTY_COL_TABLEAU
+    paths, _, offsets = _piece_paths(k)
+    sums = offsets.get((stat, d))
+    if sums is None or not 0 <= index < sums[-1]:
+        raise ValueError(f"no tableau of size {k} with {d} dots at index {index}")
+    i = bisect_right(sums, index) - 1
+    path = paths[i]
+    rows = filling_unrank(path.row_lengths, path.num_cols, index - sums[i], (stat, d))
+    return TreeLikeTableau(path, rows)
 
 
-@lru_cache(maxsize=None)
-def _perms_by_cycles(n: int):
-    from .counting import cycle_count
+# Permutations of 1..n with d cycles, in `itertools.permutations` order.
+# Once p[0..i-1] is fixed, the map i' -> p[i'-1] is some closed cycles and
+# n - i open chains; the completions that close j more cycles number
+# c(n - i, j), the unsigned Stirling number of the first kind, since each
+# chain then acts as one point. The next value closes a cycle exactly when
+# it is the start of the chain that ends at i + 1.
 
-    return _bucket(permutations(range(1, n + 1)), cycle_count)
+
+@lru_cache(maxsize=64)
+def _stirling_rows(n: int) -> tuple[dict[int, int], ...]:
+    # c(q, .) for q = 0..n, with c(0, 0) = 1
+    return ({0: 1},) + tuple(stirling_row(q) for q in range(1, n + 1))
+
+
+def _perm_rank(c: CycleForm) -> int:
+    """The position of a permutation among those of its size with as many
+    cycles: at each position, the smaller unused values times their
+    completions."""
+    p = c.to_permutation()
+    n, d = len(p), len(c.cycles)
+    rows = _stirling_rows(n)
+    head = list(range(n + 1))  # head[e]: the start of the open chain ending at e
+    tail = list(range(n + 1))  # tail[s]: the end of the open chain starting at s
+    free = (1 << (n + 1)) - 2  # the unused values
+    rank = 0
+    for i, v in enumerate(p, 1):
+        s = head[i]
+        row = rows[n - i]
+        below = (free & ((1 << v) - 1)).bit_count()
+        if s < v:
+            rank += (below - 1) * row.get(d, 0) + row.get(d - 1, 0)
+        else:
+            rank += below * row.get(d, 0)
+        free ^= 1 << v
+        if v == s:
+            d -= 1
+        else:
+            e = tail[v]
+            head[e], tail[s] = s, e
+    return rank
+
+
+def _perm_unrank(n: int, d: int, index: int) -> CycleForm:
+    """The cycle form of the permutation of 1..n with d cycles at position
+    `index`, the inverse of `_perm_rank`; each cycle is written down as it
+    closes. ValueError when there is none."""
+    rows = _stirling_rows(n)
+    if not 0 <= index < rows[n].get(d, 0):
+        raise ValueError(f"no permutation of {n} with {d} cycles at index {index}")
+    head = list(range(n + 1))
+    tail = list(range(n + 1))
+    p = [0] * (n + 1)  # p[i]: the value at position i
+    free = list(range(1, n + 1))
+    cycles = []
+    for i in range(1, n + 1):
+        s = head[i]
+        row = rows[n - i]
+        # every unused value but s leaves a completions, s leaves b; the
+        # j values below s come first
+        a = row.get(d, 0)
+        j = bisect_left(free, s)
+        if index < j * a:
+            k, index = divmod(index, a)
+        else:
+            index -= j * a
+            b = row.get(d - 1, 0)
+            if index < b:
+                k = j
+            else:
+                k, index = divmod(index - b, a)
+                k += j + 1
+        v = p[i] = free.pop(k)
+        if v == s:
+            # the chain s -> ... -> i closes; write it from its maximum
+            cyc = [s]
+            x = p[s]
+            while x != s:
+                cyc.append(x)
+                x = p[x]
+            top = cyc.index(max(cyc))
+            cycles.append(tuple(cyc[top:] + cyc[:top]))
+            d -= 1
+        else:
+            e = tail[v]
+            head[e], tail[s] = s, e
+    cycles.sort()  # by maxima, which lead and differ
+    return CycleForm(tuple(cycles))
 
 
 def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
@@ -652,8 +744,8 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
     into a marked-run permutation.
 
     A side piece of size k with d first-row (left) or first-column (right)
-    dots becomes the permutation of k with d cycles of the same rank, from
-    tables of all tableaux and permutations of size k. The tree becomes the
+    dots becomes the permutation of k with d cycles of the same rank
+    (`_piece_rank`, `_perm_unrank`). The tree becomes the
     colored word whose rank among `enumerate_colored_words` equals the rank
     of the tree's transpose among `enumerate_nat` of its grid. Both ranks
     are counted from completion counts (`filling_rank`, `_word_unrank`), so
@@ -662,14 +754,8 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
     t_l, t_r, nat = cut_at_corner(t, corner)
     fr_l = first_row_points(t_l.rows)
     fc_r = first_col_points(t_r.rows)
-
-    _, ranks_l = _tlts_by(first_row_points, t_l.size)
-    perms_l, _ = _perms_by_cycles(t_l.size)
-    l_cycles = CycleForm.from_permutation(perms_l[fr_l][ranks_l[t_l]])
-
-    _, ranks_r = _tlts_by(first_col_points, t_r.size)
-    perms_r, _ = _perms_by_cycles(t_r.size)
-    r_cycles = CycleForm.from_permutation(perms_r[fc_r][ranks_r[t_r]])
+    l_cycles = _perm_unrank(t_l.size, fr_l, _piece_rank(t_l, (first_row_points, fr_l)))
+    r_cycles = _perm_unrank(t_r.size, fc_r, _piece_rank(t_r, (first_col_points, fc_r)))
 
     # the word pairs with the transpose of the tree, ranked in place
     rows = transpose_bits(nat.tableau.rows, fr_l + 1)
@@ -679,18 +765,14 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
 
 def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
     """Inverse of the corner-to-run map: split the run into cycle forms and
-    a colored word, look the side pieces up by rank, and unrank the tree
+    a colored word, unrank the side pieces from the ranks of the cycle forms
+    (`_perm_rank`, `_piece_unrank`), and unrank the tree
     that pairs with the word (`_word_rank`, `filling_unrank`) straight into
     the rows of its transpose, the one validated tree that `glue` takes."""
     l_cycles, r_cycles, m = run_to_triplet(mr)
 
-    buckets_l, _ = _tlts_by(first_row_points, l_cycles.size)
-    _, perm_ranks_l = _perms_by_cycles(l_cycles.size)
-    t_l = buckets_l[m.h][perm_ranks_l[l_cycles.to_permutation()]]
-
-    buckets_r, _ = _tlts_by(first_col_points, r_cycles.size)
-    _, perm_ranks_r = _perms_by_cycles(r_cycles.size)
-    t_r = buckets_r[m.w][perm_ranks_r[r_cycles.to_permutation()]]
+    t_l = _piece_unrank(first_row_points, l_cycles.size, m.h, _perm_rank(l_cycles))
+    t_r = _piece_unrank(first_col_points, r_cycles.size, m.w, _perm_rank(r_cycles))
 
     rows = filling_unrank((m.w + 1,) * (m.h + 1), m.w + 1, _word_rank(m))
     path = BorderPath(SOUTH * (m.w + 1) + WEST * (m.h + 1))

@@ -121,7 +121,7 @@ class BorderPath:
 
     def col_index(self, col_label: int) -> int:
         # columns run left to right by decreasing label
-        return sum(1 for c in self.col_labels if c > col_label)
+        return len(self.col_labels) - bisect_right(self.col_labels, col_label)
 
     def col_label_at(self, col_index: int) -> int:
         return sorted(self.col_labels, reverse=True)[col_index]
@@ -354,8 +354,10 @@ def transpose_bits(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     bit c of row r is."""
     out = [0] * width
     for r, mask in enumerate(rows):
-        for c in _bits(mask):
-            out[c] |= 1 << r
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= 1 << r
+            mask ^= low
     return tuple(out)
 
 
@@ -472,99 +474,124 @@ def pt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...
     yield from _fillings(lengths, width, _PT_RULES)
 
 
-def _prefix_counts(moves: tuple) -> list[dict[int, int]]:
-    """For each position of the walk, {state key: partial fillings reaching
-    it}; the last entry holds the complete fillings."""
-    layers = [{0: 1}]
-    for _, bit, may, end in moves:
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, n in layers[-1].items():
-            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
-            if ok & _EMPTY:
-                to = key & ~1 if end else key
-                nxt[to] = get(to, 0) + n
-            if ok & _FILLED:
-                to = (key | bit) & ~1 if end else key | bit | 1
-                nxt[to] = get(to, 0) + n
-        layers.append(nxt)
-    return layers
-
-
-@lru_cache(maxsize=256)
-def _tlt_completions(lengths: tuple[int, ...], width: int) -> tuple[tuple, list]:
+@lru_cache(maxsize=2048)
+def _tlt_completions(
+    lengths: tuple[int, ...], width: int, dots: tuple | None = None
+) -> tuple[tuple, list]:
     """(moves, table) for the tree-like fillings of a shape: the cell moves
     of `_cell_moves` and, per position, {state key: (n, n_empty, empty,
     filled)} over the states the walk reaches. From the state, `n` fillings
     complete and `n_empty` of them leave the cell empty; `empty` and
     `filled` are the keys after the cell, None where its rule forbids that
-    branch. One forward pass finds the states and one backward pass fills
-    in the rest, so rank and unrank only read the table."""
+    branch. One forward pass finds the states and their successors and one
+    backward pass counts, so rank and unrank only read the table.
+
+    `dots` = (stat, d), with stat `first_row_points` or `first_col_points`,
+    keeps only the fillings with exactly d dots in the first row or the
+    first column: the key counts those dots above its column bits, and a
+    branch that leaves more than d, or too few cells to reach d, counts as
+    forbidden."""
     moves = _cell_moves(lengths, _TLT_RULES)
-    layers = _prefix_counts(moves)
-    done = ((1 << width) - 1) << 1
-    table: list = [None] * len(moves)
-    table.append({key: (1 if key == done else 0,) for key in layers[-1]})
-    for p in range(len(moves) - 1, -1, -1):
-        _, bit, may, end = moves[p]
-        after = table[p + 1]
-        here = table[p] = {}
-        for key in layers[p]:
+    stat, d = dots or (None, 0)
+    one = 1 << (width + 1)  # a counted dot adds this to the key
+    counted = [
+        (stat is first_row_points and r == 0) or (stat is first_col_points and bit == 2)
+        for r, bit, _, _ in moves
+    ]
+    left = sum(counted)
+    table: list = []
+    keys = {0}
+    for (r, bit, may, end), c in zip(moves, counted):
+        left -= c
+        dot = one if c else 0
+        low, high = (d - left) * one, (d + 1) * one  # the keys that can still end at d
+        here: dict = {}
+        nxt = set()
+        for key in keys:
             ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
-            n = n_empty = 0
             empty = filled = None
             if ok & _EMPTY:
                 empty = key & ~1 if end else key
-                n = n_empty = after[empty][0]
+                if low <= empty:
+                    nxt.add(empty)
+                else:
+                    empty = None
             if ok & _FILLED:
-                filled = (key | bit) & ~1 if end else key | bit | 1
+                filled = ((key | bit) & ~1 if end else key | bit | 1) + dot
+                if low <= filled < high:
+                    nxt.add(filled)
+                else:
+                    filled = None
+            here[key] = (empty, filled)
+        table.append(here)
+        keys = nxt
+    done = ((1 << width) - 1) << 1 | d * one
+    table.append({key: (1 if key == done else 0,) for key in keys})
+    for p in range(len(moves) - 1, -1, -1):
+        after, here = table[p + 1], table[p]
+        for key, (empty, filled) in here.items():
+            n = n_empty = 0 if empty is None else after[empty][0]
+            if filled is not None:
                 n += after[filled][0]
             here[key] = (n, n_empty, empty, filled)
     return moves, table
 
 
-def filling_count(lengths: tuple[int, ...], width: int) -> int:
-    """How many fillings `tlt_fillings(lengths, width)` yields."""
-    return _tlt_completions(lengths, width)[1][0][0][0]
+def filling_count(lengths: tuple[int, ...], width: int, dots: tuple | None = None) -> int:
+    """How many fillings `tlt_fillings(lengths, width)` yields; with `dots`
+    = (stat, d), how many of them have stat d (see `_tlt_completions`)."""
+    return _tlt_completions(lengths, width, dots)[1][0][0][0]
 
 
-def filling_rank(lengths: tuple[int, ...], width: int, rows: tuple[int, ...]) -> int:
+def filling_rank(
+    lengths: tuple[int, ...], width: int, rows: tuple[int, ...], dots: tuple | None = None
+) -> int:
     """The position of a filling among `tlt_fillings(lengths, width)`,
     counted from 0, found by summing the completions of every empty branch
-    the filling passes over. Raises ValueError when the tree-like rules
-    reject the filling."""
-    _, table = _tlt_completions(lengths, width)
+    the filling passes over. With `dots` = (stat, d) only the fillings with
+    stat d count. Raises ValueError when the tree-like rules reject the
+    filling, or when its stat is not d."""
+    moves, table = _tlt_completions(lengths, width, dots)
     if len(rows) != len(lengths):
         raise ValueError("row count does not match the shape")
-    rank = key = p = 0
+    stop = None  # the walk stops at the first row with a dot outside it
     for r, (mask, lam) in enumerate(zip(rows, lengths)):
         if mask < 0 or mask >> lam:
-            raise ValueError("dot outside its row")
-        for c in range(lam):
-            _, n_empty, empty, filled = table[p][key]
-            p += 1
-            if mask >> c & 1:
-                if filled is None:
-                    raise ValueError(f"cell at row {r + 1}, column index {c} may not hold a dot")
-                rank += n_empty
-                key = filled
-            elif empty is None:
-                raise ValueError(f"cell at row {r + 1}, column index {c} must hold a dot")
-            else:
-                key = empty
-    if key != ((1 << width) - 1) << 1:
+            stop = sum(lengths[:r])
+            break
+    rank = key = 0
+    for (r, bit, _, _), here in zip(moves[:stop], table):
+        _, n_empty, empty, filled = here[key]
+        if rows[r] << 1 & bit:
+            if filled is None:
+                raise ValueError(
+                    f"cell at row {r + 1}, column index {bit.bit_length() - 2} may not hold a dot"
+                )
+            rank += n_empty
+            key = filled
+        elif empty is None:
+            raise ValueError(
+                f"cell at row {r + 1}, column index {bit.bit_length() - 2} must hold a dot"
+            )
+        else:
+            key = empty
+    if stop is not None:
+        raise ValueError("dot outside its row")
+    if not table[-1][key][0]:
         raise ValueError("some column has no dot")
     return rank
 
 
-def filling_unrank(lengths: tuple[int, ...], width: int, index: int) -> tuple[int, ...]:
+def filling_unrank(
+    lengths: tuple[int, ...], width: int, index: int, dots: tuple | None = None
+) -> tuple[int, ...]:
     """The filling at position `index` of `tlt_fillings(lengths, width)`,
-    one bitmask per row, built cell by cell: the empty branch when `index`
-    is below the number of fillings through it, else a dot, with those
-    fillings skipped."""
-    if not 0 <= index < filling_count(lengths, width):
+    or of those with stat d when `dots` = (stat, d), one bitmask per row,
+    built cell by cell: the empty branch when `index` is below the number
+    of fillings through it, else a dot, with those fillings skipped."""
+    moves, table = _tlt_completions(lengths, width, dots)
+    if not 0 <= index < table[0][0][0]:
         raise ValueError(f"no filling at index {index}")
-    moves, table = _tlt_completions(lengths, width)
     rows = [0] * len(lengths)
     key = 0
     for (r, bit, _, _), here in zip(moves, table):
@@ -647,9 +674,22 @@ def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
 
 def pt_filling_count(lengths: tuple[int, ...], width: int) -> int:
     """How many fillings `pt_fillings` yields for a shape, counted without
-    listing them."""
-    final = _prefix_counts(_cell_moves(lengths, _PT_RULES))[-1]
-    return final.get(((1 << width) - 1) << 1, 0)
+    listing them: a forward pass over the moves that keeps, per state key,
+    how many partial fillings reach it."""
+    counts = {0: 1}
+    for _, bit, may, end in _cell_moves(lengths, _PT_RULES):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, n in counts.items():
+            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
+            if ok & _EMPTY:
+                to = key & ~1 if end else key
+                nxt[to] = get(to, 0) + n
+            if ok & _FILLED:
+                to = (key | bit) & ~1 if end else key | bit | 1
+                nxt[to] = get(to, 0) + n
+        counts = nxt
+    return counts.get(((1 << width) - 1) << 1, 0)
 
 
 def enumerate_tlt(n: int) -> Iterator[TreeLikeTableau]:

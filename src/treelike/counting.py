@@ -115,7 +115,7 @@ def displacement_formula(n: int) -> int:
     return factorial(n - 1) * comb(n + 1, 3)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def stirling_row(n: int) -> dict[int, int]:
     """Unsigned Stirling numbers of the first kind, c(n, k) for k = 1..n."""
     if n < 1:
@@ -203,7 +203,7 @@ class PermSurvey:
     last_is_n: int = 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def perm_survey(n: int) -> PermSurvey:
     """One pass over all permutations of [n], tallying every statistic the
     checks consume with integer arithmetic on each permutation."""
@@ -293,7 +293,7 @@ def _add(d: dict, key, x: int) -> None:
         d[key] = d.get(key, 0) + x
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def tlt_survey(n: int) -> TltSurvey:
     """All tree-like tableaux of size n, tallied path by path from the
     frontier DP of `tlt_filling_tallies`: the fillings of a path counted by
@@ -349,7 +349,7 @@ class PtSurvey:
     last_south: int = 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def pt_survey(n: int) -> PtSurvey:
     """All permutation tableaux of length n, counted path by path with
     `pt_filling_count`; every field is a constant of the path times its

@@ -359,3 +359,21 @@ class TestNatValidation:
         for nat in enumerate_nat(1, 2):
             tt = NonAmbiguousTree(transpose(nat.tableau))
             assert (tt.height, tt.width) == (2, 1)
+
+
+def test_every_cache_is_bounded():
+    # memory must stay bounded: no cached function of the package may grow
+    # without limit
+    import sys
+
+    import treelike.cli  # noqa: F401 -- imports every module of the package
+
+    cached = {
+        f"{name}.{attr}": obj.cache_parameters()["maxsize"]
+        for name, module in list(sys.modules.items())
+        if name.startswith("treelike.")
+        for attr, obj in vars(module).items()
+        if hasattr(obj, "cache_parameters")
+    }
+    assert {"treelike.core._tlt_completions", "treelike.counting.stirling_row"} <= set(cached)
+    assert {name: size for name, size in cached.items() if size is None} == {}

@@ -1,27 +1,36 @@
-"""Rank and unrank by counting against the grid tables they replaced.
+"""Rank and unrank by counting against the tables they replaced.
 
-The corner-to-run map pairs the i-th non-ambiguous tree of an (h, w) grid
-with the i-th colored word on the (h, w) alphabet. It finds i by counting
-completions: `filling_rank`/`filling_unrank` over the tree-like filling
-rules and `_word_rank`/`_word_unrank` over the colored-word rules. The
-reference below is the earlier table, which lists and validates every tree
-and every word of a grid and buckets them by type; it is kept here
-unchanged as the oracle, together with the corner-to-run composition that
-read it.
+The corner-to-run map recodes each side piece and the tree by rank. A side
+piece of size k with d first-row (left) or first-column (right) dots pairs
+with the permutation of k with d cycles at the same rank
+(`_piece_rank`/`_piece_unrank`: per-path offsets plus the completion table
+restricted to d dots; `_perm_rank`/`_perm_unrank`: Stirling completions).
+The i-th non-ambiguous tree of an (h, w) grid pairs with the i-th colored
+word on the (h, w) alphabet (`filling_rank`/`filling_unrank` over the
+tree-like filling rules, `_word_rank`/`_word_unrank` over the colored-word
+rules). The references below are the earlier tables, which list every
+tableau, permutation, tree and word of a size and bucket them; they are
+kept here unchanged as the oracles, together with the corner-to-run
+composition that read them.
 """
 
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, permutations, product
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treelike.bijections import (
     ColoredWord,
     CycleForm,
-    _perms_by_cycles,
-    _tlts_by,
+    MarkedRun,
+    _perm_rank,
+    _perm_unrank,
+    _piece_paths,
+    _piece_rank,
+    _piece_unrank,
     _word_rank,
     _word_unrank,
     corner_to_run,
@@ -35,6 +44,8 @@ from treelike.bijections import (
     triplet_to_run,
 )
 from treelike.core import (
+    EMPTY_COL_TABLEAU,
+    EMPTY_ROW_TABLEAU,
     SOUTH,
     WEST,
     BorderPath,
@@ -53,17 +64,42 @@ from treelike.core import (
     tlt_fillings,
     transpose,
 )
+from treelike.counting import cycle_count, stirling_row
 
 # ---------------------------------------------------------------------------
 # oracles
 
 
-def _bucket(items, key):
-    buckets = {}
+def _bucket(items, key) -> tuple[dict, dict]:
+    """Group items by key, keeping their order; an item's rank is its
+    position inside its group."""
+    buckets: dict = {}
     for x in items:
         buckets.setdefault(key(x), []).append(x)
     ranks = {x: i for lst in buckets.values() for i, x in enumerate(lst)}
     return buckets, ranks
+
+
+@lru_cache(maxsize=None)
+def _tlts(n: int) -> tuple[TreeLikeTableau, ...]:
+    """Every tableau of size n, enumerated once for both rank tables."""
+    return tuple(enumerate_tlt(n))
+
+
+@lru_cache(maxsize=None)
+def _tlts_by(stat, n: int):
+    """Tableaux of size n bucketed by a first-row or first-column count.
+    Size 0 holds the one degenerate piece that cutting leaves on that side."""
+    if n:
+        items = _tlts(n)
+    else:
+        items = [EMPTY_ROW_TABLEAU if stat is first_row_points else EMPTY_COL_TABLEAU]
+    return _bucket(items, lambda t: stat(t.rows))
+
+
+@lru_cache(maxsize=None)
+def _perms_by_cycles(n: int):
+    return _bucket(permutations(range(1, n + 1)), cycle_count)
 
 
 @lru_cache(maxsize=None)
@@ -122,6 +158,14 @@ def grid_tree(h, w, rows):
 
 SMALL_GRIDS = [(h, w) for h in range(7) for w in range(7) if h + w <= 6]
 
+STATS = [first_row_points, first_col_points]
+STAT_IDS = ["first-row", "first-col"]
+
+
+def stirling(n, d):
+    """c(n, d), with c(0, 0) = 1."""
+    return stirling_row(n).get(d, 0) if n else int(d == 0)
+
 
 # ---------------------------------------------------------------------------
 # exhaustive agreement with the tables
@@ -159,6 +203,45 @@ def test_filling_rank_on_every_tree_like_shape():
             for i, rows in enumerate(fillings):
                 assert filling_rank(lengths, width, rows) == i
                 assert filling_unrank(lengths, width, i) == rows
+
+
+@pytest.mark.parametrize("stat", STATS, ids=STAT_IDS)
+@pytest.mark.parametrize("k", range(8))
+def test_piece_ranks_follow_tables(k, stat):
+    buckets, ranks = _tlts_by(stat, k)
+    for d, pieces in buckets.items():
+        for i, t in enumerate(pieces):
+            assert ranks[t] == i
+            assert _piece_rank(t, (stat, d)) == i
+            assert _piece_unrank(stat, k, d, i) == t
+    if k:
+        # the offsets count exactly the tableaux of each bucket
+        _, _, offsets = _piece_paths(k)
+        totals = {d: sums[-1] for (s, d), sums in offsets.items() if s is stat}
+        assert totals == {d: len(pieces) for d, pieces in buckets.items()}
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_perm_ranks_follow_tables(n):
+    buckets, ranks = _perms_by_cycles(n)
+    for d, perms in buckets.items():
+        assert len(perms) == stirling(n, d)
+        for i, p in enumerate(perms):
+            assert ranks[p] == i
+            c = CycleForm.from_permutation(p)
+            assert _perm_rank(c) == i
+            assert _perm_unrank(n, d, i) == c
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_piece_counts_are_stirling_rows(k):
+    # the recoding needs as many pieces with d dots as permutations with d
+    # cycles: the per-path offsets must add up to the Stirling row
+    _, _, offsets = _piece_paths(k)
+    for stat in STATS:
+        totals = {d: sums[-1] for (s, d), sums in offsets.items() if s is stat}
+        assert totals == stirling_row(k)
+    assert sum(stirling_row(k).values()) == factorial(k)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -224,6 +307,48 @@ def test_unrank_out_of_range():
             _word_unrank(1, 1, index)
 
 
+@pytest.mark.parametrize("n,d", [(0, 0), (1, 1), (3, 1), (3, 2), (5, 3), (8, 8)])
+def test_perm_unrank_out_of_range(n, d):
+    for index in (-1, stirling(n, d)):
+        with pytest.raises(ValueError, match="no permutation"):
+            _perm_unrank(n, d, index)
+    # cycle counts no permutation of n has
+    for bad in (-1, n + 1) if n else (-1, 1):
+        with pytest.raises(ValueError, match="no permutation"):
+            _perm_unrank(n, bad, 0)
+
+
+@pytest.mark.parametrize("stat", STATS, ids=STAT_IDS)
+def test_piece_unrank_out_of_range(stat):
+    for d, index in ((0, 1), (0, -1), (1, 0)):
+        with pytest.raises(ValueError, match="no size-0 piece"):
+            _piece_unrank(stat, 0, d, index)
+    for k in (1, 4, 7):
+        for d in range(1, k + 1):
+            for index in (-1, stirling(k, d)):
+                with pytest.raises(ValueError, match=f"no tableau of size {k}"):
+                    _piece_unrank(stat, k, d, index)
+        for d in (0, k + 1):  # a piece of size k has 1..k such dots
+            with pytest.raises(ValueError, match=f"no tableau of size {k}"):
+                _piece_unrank(stat, k, d, 0)
+
+
+def test_rank_with_wrong_dot_count_raises():
+    # a branch that cannot end at d counted dots is forbidden, so the error
+    # names the first cell where the count goes wrong
+    t = TreeLikeTableau(BorderPath("SWSW"), (0b11, 0b01))  # two first-row dots
+    lengths, width = t.path.row_lengths, t.path.num_cols
+    assert filling_rank(lengths, width, t.rows, (first_row_points, 2)) == 0
+    with pytest.raises(ValueError, match="row 1, column index 1 may not hold a dot"):
+        filling_rank(lengths, width, t.rows, (first_row_points, 1))
+    with pytest.raises(ValueError, match="row 1, column index 0 may not hold a dot"):
+        filling_rank(lengths, width, t.rows, (first_row_points, 3))
+    t = TreeLikeTableau(BorderPath("SSWW"), (0b01, 0b11))  # one first-row dot
+    lengths, width = t.path.row_lengths, t.path.num_cols
+    with pytest.raises(ValueError, match="row 1, column index 1 must hold a dot"):
+        filling_rank(lengths, width, t.rows, (first_row_points, 2))
+
+
 @pytest.mark.parametrize("text", ["1* 4 0* 2* 1 2 3* 3", "2* 1* 0*", "0* 1"])
 def test_invalid_word_rank_raises(text):
     m = parse_colored_word(text)
@@ -262,3 +387,55 @@ def test_round_trips_on_large_grids(hwi):
     m = _word_unrank(h, w, i)
     assert m.is_valid()
     assert _word_rank(m) == i
+
+
+@st.composite
+def perm_and_index(draw):
+    n = draw(st.integers(0, 30))
+    d = draw(st.integers(1, n)) if n else 0
+    return n, d, draw(st.integers(0, stirling(n, d) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_and_index())
+def test_perm_round_trips_to_size_30(ndi):
+    n, d, i = ndi
+    c = _perm_unrank(n, d, i)  # the constructor checks the cycle form
+    assert c.size == n
+    assert cycle_count(c.to_permutation()) == len(c.cycles) == d
+    assert _perm_rank(c) == i
+
+
+@st.composite
+def piece_and_index(draw):
+    k = draw(st.sampled_from([9, 10]))
+    stat = draw(st.sampled_from(STATS))
+    d = draw(st.integers(1, k))
+    return stat, k, d, draw(st.integers(0, stirling(k, d) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(piece_and_index())
+def test_piece_round_trips_past_the_tables(args):
+    stat, k, d, i = args
+    t = _piece_unrank(stat, k, d, i)  # built by the validating constructor
+    assert t.size == k
+    assert stat(t.rows) == d
+    assert _piece_rank(t, (stat, d)) == i
+
+
+@st.composite
+def marked_runs(draw, n=10):
+    perm = draw(st.permutations(range(1, n + 1)))
+    padded = (n + 1,) + tuple(perm) + (0,)
+    marks = [k for k in range(1, n + 1) if padded[k - 1] > padded[k] > padded[k + 1]]
+    assume(marks)
+    return MarkedRun(tuple(perm), draw(st.sampled_from(marks)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(marked_runs())
+def test_size_10_marked_runs_round_trip(mr):
+    t, corner = run_to_corner(mr)
+    assert t.size == 10
+    assert corner_to_run(t, corner) == mr
