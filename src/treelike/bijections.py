@@ -745,12 +745,12 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
 
     A side piece of size k with d first-row (left) or first-column (right)
     dots becomes the permutation of k with d cycles of the same rank
-    (`_piece_rank`, `_perm_unrank`). The tree becomes the
-    colored word whose rank among `enumerate_colored_words` equals the rank
-    of the tree's transpose among `enumerate_nat` of its grid. Both ranks
-    are counted from completion counts (`filling_rank`, `_word_unrank`), so
-    no grid is listed; the transpose is read off the tree's row bits
-    without building a second tree."""
+    (`_piece_rank`, `_perm_unrank`). The tree becomes the colored word
+    whose rank among `enumerate_colored_words` equals the rank of the
+    tree's transpose among `enumerate_nat` of its grid (`filling_rank`,
+    `_word_unrank`). Every rank is counted from completion counts, so no
+    tableau, permutation or grid is listed; the transpose is read off the
+    tree's row bits without building a second tree."""
     t_l, t_r, nat = cut_at_corner(t, corner)
     fr_l = first_row_points(t_l.rows)
     fc_r = first_col_points(t_r.rows)
@@ -765,10 +765,10 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
 
 def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
     """Inverse of the corner-to-run map: split the run into cycle forms and
-    a colored word, unrank the side pieces from the ranks of the cycle forms
-    (`_perm_rank`, `_piece_unrank`), and unrank the tree
-    that pairs with the word (`_word_rank`, `filling_unrank`) straight into
-    the rows of its transpose, the one validated tree that `glue` takes."""
+    a colored word, unrank each side piece at its cycle form's rank
+    (`_perm_rank`, `_piece_unrank`), and unrank the tree that pairs with
+    the word (`_word_rank`, `filling_unrank`) straight into the rows of its
+    transpose, the one validated tree that `glue` takes."""
     l_cycles, r_cycles, m = run_to_triplet(mr)
 
     t_l = _piece_unrank(first_row_points, l_cycles.size, m.h, _perm_rank(l_cycles))
