@@ -212,6 +212,12 @@ class ColoredLetter(NamedTuple):
         return f"{self.value}*" if self.pointed else str(self.value)
 
 
+@lru_cache(maxsize=1024)
+def _letter(value: int, pointed: bool) -> ColoredLetter:
+    # letters are immutable, so the maps share one per (value, pointed)
+    return ColoredLetter(value, pointed)
+
+
 @dataclass(frozen=True)
 class ColoredWord:
     """An arrangement of pointed letters 0..h and unpointed letters 1..w.
@@ -399,7 +405,7 @@ def _word_unrank(h: int, w: int, index: int) -> ColoredWord:
                     break
                 i += 1
             index -= n
-        letters.append(ColoredLetter(last, last_pointed))
+        letters.append(_letter(last, last_pointed))
     return ColoredWord(tuple(letters), h, w)
 
 
@@ -586,8 +592,8 @@ def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
     # cycles start with distinct maxima, so sorting them sorts by maxima
     l_sorted = sorted(map(tuple, small_cycles))
     r_sorted = sorted(tuple(x - v for x in c) for c in big_cycles)
-    letter = {c[0]: ColoredLetter(i, True) for i, c in enumerate(l_sorted, 1)}
-    letter.update((c[0] + v, ColoredLetter(i, False)) for i, c in enumerate(r_sorted, 1))
+    letter = {c[0]: _letter(i, True) for i, c in enumerate(l_sorted, 1)}
+    letter.update((c[0] + v, _letter(i, False)) for i, c in enumerate(r_sorted, 1))
     letter[v] = _POINTED_0
     word = ColoredWord(tuple(map(letter.__getitem__, order)), len(l_sorted), len(r_sorted))
     word = m_star_inverse(word)
@@ -659,9 +665,14 @@ def _piece_unrank(stat, k: int, d: int, index: int) -> TreeLikeTableau:
 
 
 @lru_cache(maxsize=64)
-def _stirling_rows(n: int) -> tuple[dict[int, int], ...]:
-    # c(q, .) for q = 0..n, with c(0, 0) = 1
-    return ({0: 1},) + tuple(stirling_row(q) for q in range(1, n + 1))
+def _stirling_rows(n: int) -> list[list[int]]:
+    """rows[q][j] = c(q, j) for q = 0..n and j = 0..n + 1, with c(0, 0) = 1.
+    Entry n + 1 is always 0, so j = -1 reads 0 too."""
+    rows = [[1] + [0] * (n + 1)]
+    for q in range(1, n + 1):
+        row = stirling_row(q)
+        rows.append([row.get(j, 0) for j in range(n + 2)])
+    return rows
 
 
 def _perm_rank(c: CycleForm) -> int:
@@ -680,9 +691,9 @@ def _perm_rank(c: CycleForm) -> int:
         row = rows[n - i]
         below = (free & ((1 << v) - 1)).bit_count()
         if s < v:
-            rank += (below - 1) * row.get(d, 0) + row.get(d - 1, 0)
+            rank += (below - 1) * row[d] + row[d - 1]
         else:
-            rank += below * row.get(d, 0)
+            rank += below * row[d]
         free ^= 1 << v
         if v == s:
             d -= 1
@@ -697,7 +708,7 @@ def _perm_unrank(n: int, d: int, index: int) -> CycleForm:
     `index`, the inverse of `_perm_rank`; each cycle is written down as it
     closes. ValueError when there is none."""
     rows = _stirling_rows(n)
-    if not 0 <= index < rows[n].get(d, 0):
+    if not (0 <= d <= n and 0 <= index < rows[n][d]):
         raise ValueError(f"no permutation of {n} with {d} cycles at index {index}")
     head = list(range(n + 1))
     tail = list(range(n + 1))
@@ -709,13 +720,13 @@ def _perm_unrank(n: int, d: int, index: int) -> CycleForm:
         row = rows[n - i]
         # every unused value but s leaves a completions, s leaves b; the
         # j values below s come first
-        a = row.get(d, 0)
+        a = row[d]
         j = bisect_left(free, s)
         if index < j * a:
             k, index = divmod(index, a)
         else:
             index -= j * a
-            b = row.get(d - 1, 0)
+            b = row[d - 1]
             if index < b:
                 k = j
             else:
