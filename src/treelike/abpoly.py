@@ -123,17 +123,6 @@ class RationalExpr:
     def equals(self, other: "RationalExpr") -> bool:
         return self.num * other.den == other.num * self.den
 
-    def evaluate(self, a: int, b: int):
-        from fractions import Fraction
-
-        return Fraction(self.num.evaluate(a, b), self.den.evaluate(a, b))
-
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-    def json_obj(self) -> dict:
-        return {"num": self.num.json_obj(), "den": self.den.json_obj()}
-
 
 # ---------------------------------------------------------------------------
 # weights
@@ -268,6 +257,7 @@ def euler_derivative_closed_form(n: int) -> BivarPoly:
 # expected jumps
 
 
+@lru_cache(maxsize=64)
 def expected_jumps_defining(n: int) -> RationalExpr:
     """Average of 2 c(T) - 1 over size n+1, weighted: the mean number of
     jumps of the associated zigzag process."""
@@ -277,6 +267,7 @@ def expected_jumps_defining(n: int) -> RationalExpr:
     return RationalExpr(num, t_poly(n + 1))
 
 
+@lru_cache(maxsize=64)
 def expected_jumps_closed_form(n: int) -> RationalExpr:
     """Closed form with the corrected denominator 3 (a+b+n-1)(a+b+n-2)."""
     if n < 2:

@@ -203,7 +203,8 @@ class TestExpectedJumps:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_value_at_ones(self, n):
-        assert expected_jumps_defining(n).evaluate(1, 1) == Fraction(n + 2, 3)
+        d = expected_jumps_defining(n)
+        assert Fraction(d.num.evaluate(1, 1), d.den.evaluate(1, 1)) == Fraction(n + 2, 3)
 
     def test_size_two_fixture(self):
         d = expected_jumps_defining(2)

@@ -39,8 +39,10 @@ from treelike.bijections import (
     enumerate_colored_words,
     glue,
     parse_colored_word,
+    pt_to_tlt,
     run_to_corner,
     run_to_triplet,
+    tlt_to_pt,
     triplet_to_run,
 )
 from treelike.core import (
@@ -61,6 +63,7 @@ from treelike.core import (
     first_row_points,
     pt_filling_count,
     pt_fillings,
+    stats_of,
     tlt_fillings,
     transpose,
 )
@@ -422,6 +425,24 @@ def test_piece_round_trips_past_the_tables(args):
     assert t.size == k
     assert stat(t.rows) == d
     assert _piece_rank(t, (stat, d)) == i
+
+
+@settings(max_examples=200, deadline=None)
+@given(piece_and_index())
+def test_tableau_maps_round_trip_past_the_sweeps(args):
+    # column deletion, transposition and cut/glue meet every tableau only up
+    # to size 7 in this suite (size 8 under `verify --long`); the pieces drawn
+    # here have size 9 or 10
+    stat, k, d, i = args
+    t = _piece_unrank(stat, k, d, i)
+    assert pt_to_tlt(tlt_to_pt(t)) == t
+    flipped = transpose(t)
+    assert transpose(flipped) == t
+    before, after = stats_of(t), stats_of(flipped)
+    assert after.firstRowPoints == before.firstColumnPoints
+    assert after.firstColumnPoints == before.firstRowPoints
+    for corner in t.path.corner_cells:
+        assert glue(*cut_at_corner(t, corner)) == (t, corner)
 
 
 @st.composite
