@@ -89,11 +89,6 @@ class BivarPoly:
         out = " ".join(parts)
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
-    def json_obj(self) -> list[dict]:
-        return [
-            {"degA": da, "degB": db, "coeff": str(v)} for (da, db), v in self.coeffs
-        ]
-
 
 A = BivarPoly.term(1, 1, 0)
 B = BivarPoly.term(1, 0, 1)

@@ -129,7 +129,7 @@ def cut_at_corner(
     """
     if corner not in t.path.corner_cells:
         raise ValueError(f"{corner} is not a corner")
-    i = corner.row
+    i = corner[0]  # by position, so a plain (row, col) pair works too
     steps = t.path.steps
     r_c = t.path.row_index(i) + 1
     w_head = t.path.col_index(i + 1) + 1
@@ -509,8 +509,14 @@ class MarkedRun:
 _POINTED_0 = ColoredLetter(0, True)
 
 
-def _swap_block_pairs(m: ColoredWord, idx: int) -> ColoredWord:
-    # swap each block pair after the pointed 0 at index idx
+def m_star(m: ColoredWord) -> ColoredWord:
+    """The block swap, an involution: swap each block pair after the
+    pointed 0. A word ending pointed whose pointed 0 is last or followed by
+    a pointed letter is left as it is; a swapped word ends unpointed, so
+    swapping it again undoes the swap."""
+    idx = m.letters.index(_POINTED_0)
+    if m.letters[-1].pointed and (idx == len(m.letters) - 1 or m.letters[idx + 1].pointed):
+        return m
     head = list(m.letters[: idx + 1])
     blocks = [list(g) for _, g in groupby(m.letters[idx + 1 :], lambda l: l.pointed)]
     if len(blocks) % 2:
@@ -519,23 +525,6 @@ def _swap_block_pairs(m: ColoredWord, idx: int) -> ColoredWord:
         head.extend(blocks[j + 1])
         head.extend(blocks[j])
     return ColoredWord(tuple(head), m.h, m.w)
-
-
-def m_star(m: ColoredWord) -> ColoredWord:
-    """Swap each unpointed/pointed block pair after the pointed 0; identity
-    when the pointed 0 is last or followed by a pointed letter."""
-    idx = m.letters.index(_POINTED_0)
-    if idx == len(m.letters) - 1 or m.letters[idx + 1].pointed:
-        return m
-    return _swap_block_pairs(m, idx)
-
-
-def m_star_inverse(m: ColoredWord) -> ColoredWord:
-    """Undo the block swap; the swapped branch is recognized by the last
-    letter being unpointed."""
-    if m.letters[-1].pointed:
-        return m
-    return _swap_block_pairs(m, m.letters.index(_POINTED_0))
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +585,10 @@ def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
     letter.update((c[0] + v, _letter(i, False)) for i, c in enumerate(r_sorted, 1))
     letter[v] = _POINTED_0
     word = ColoredWord(tuple(map(letter.__getitem__, order)), len(l_sorted), len(r_sorted))
-    word = m_star_inverse(word)
+    # the value after the mark is smaller, so the pointed 0 is last or
+    # followed by a pointed letter: m_star swaps exactly the words that end
+    # unpointed, undoing the swap in triplet_to_run
+    word = m_star(word)
     if not word.is_valid():
         raise ValueError("the block order does not give a valid colored word")
     return CycleForm(tuple(l_sorted)), CycleForm(tuple(r_sorted)), word
@@ -703,18 +695,16 @@ def _perm_rank(c: CycleForm) -> int:
     return rank
 
 
-def _perm_unrank(n: int, d: int, index: int) -> CycleForm:
-    """The cycle form of the permutation of 1..n with d cycles at position
-    `index`, the inverse of `_perm_rank`; each cycle is written down as it
-    closes. ValueError when there is none."""
+def _perm_unrank(n: int, d: int, index: int) -> tuple[int, ...]:
+    """The permutation of 1..n with d cycles at position `index`, the
+    inverse of `_perm_rank`. ValueError when there is none."""
     rows = _stirling_rows(n)
     if not (0 <= d <= n and 0 <= index < rows[n][d]):
         raise ValueError(f"no permutation of {n} with {d} cycles at index {index}")
     head = list(range(n + 1))
     tail = list(range(n + 1))
-    p = [0] * (n + 1)  # p[i]: the value at position i
     free = list(range(1, n + 1))
-    cycles = []
+    p = []
     for i in range(1, n + 1):
         s = head[i]
         row = rows[n - i]
@@ -732,22 +722,14 @@ def _perm_unrank(n: int, d: int, index: int) -> CycleForm:
             else:
                 k, index = divmod(index - b, a)
                 k += j + 1
-        v = p[i] = free.pop(k)
+        v = free.pop(k)
+        p.append(v)
         if v == s:
-            # the chain s -> ... -> i closes; write it from its maximum
-            cyc = [s]
-            x = p[s]
-            while x != s:
-                cyc.append(x)
-                x = p[x]
-            top = cyc.index(max(cyc))
-            cycles.append(tuple(cyc[top:] + cyc[:top]))
             d -= 1
         else:
             e = tail[v]
             head[e], tail[s] = s, e
-    cycles.sort()  # by maxima, which lead and differ
-    return CycleForm(tuple(cycles))
+    return tuple(p)
 
 
 def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
@@ -765,8 +747,10 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
     t_l, t_r, nat = cut_at_corner(t, corner)
     fr_l = first_row_points(t_l.rows)
     fc_r = first_col_points(t_r.rows)
-    l_cycles = _perm_unrank(t_l.size, fr_l, _piece_rank(t_l, (first_row_points, fr_l)))
-    r_cycles = _perm_unrank(t_r.size, fc_r, _piece_rank(t_r, (first_col_points, fc_r)))
+    l_perm = _perm_unrank(t_l.size, fr_l, _piece_rank(t_l, (first_row_points, fr_l)))
+    r_perm = _perm_unrank(t_r.size, fc_r, _piece_rank(t_r, (first_col_points, fc_r)))
+    l_cycles = CycleForm.from_permutation(l_perm)
+    r_cycles = CycleForm.from_permutation(r_perm)
 
     # the word pairs with the transpose of the tree, ranked in place
     rows = transpose_bits(nat.tableau.rows, fr_l + 1)

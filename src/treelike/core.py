@@ -123,16 +123,6 @@ class BorderPath:
         # columns run left to right by decreasing label
         return len(self.col_labels) - bisect_right(self.col_labels, col_label)
 
-    def col_label_at(self, col_index: int) -> int:
-        return sorted(self.col_labels, reverse=True)[col_index]
-
-    def cell_exists(self, row_label: int, col_label: int) -> bool:
-        return (
-            row_label in set(self.row_labels)
-            and col_label in set(self.col_labels)
-            and row_label < col_label
-        )
-
 
 @dataclass(frozen=True)
 class TreeLikeTableau:
@@ -208,10 +198,6 @@ class TreeLikeTableau:
             row_label = self.path.row_labels[r]
             out.extend(Cell(row_label, cols_desc[c]) for c in _bits(mask))
         return frozenset(out)
-
-    def has_dot(self, cell: Cell) -> bool:
-        r = self.path.row_index(cell.row)
-        return bool((self.rows[r] >> self.path.col_index(cell.col)) & 1)
 
 
 # the two size-0 tableaux used by corner cutting
@@ -327,8 +313,9 @@ def noc_class(t: TreeLikeTableau, c: Cell) -> str:
     """
     if c not in t.path.corner_cells:
         raise ValueError(f"{c} is not a corner")
-    r = t.path.row_index(c.row)
-    ci = t.path.col_index(c.col)
+    row, col = c  # by position, so a plain (row, col) pair works too
+    r = t.path.row_index(row)
+    ci = t.path.col_index(col)
     if (t.rows[r] >> ci) & 1:
         raise ValueError(f"{c} is an occupied corner")
     return _noc_class_at(t.rows, r, ci)

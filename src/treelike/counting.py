@@ -146,10 +146,6 @@ def ascent_values(p: tuple[int, ...]) -> set[int]:
     return out
 
 
-def descent_values(p: tuple[int, ...]) -> set[int]:
-    return set(range(1, len(p) + 1)) - ascent_values(p)
-
-
 def runs_of_size_1(p: tuple[int, ...]) -> list[int]:
     """Positions j with p[j-1] > p[j] > p[j+1], under sentinels n+1 and 0."""
     n = len(p)
@@ -179,15 +175,6 @@ def cycle_count(p: tuple[int, ...]) -> int:
 
 def displacement(p: tuple[int, ...]) -> int:
     return sum(max(v - j, 0) for j, v in enumerate(p, start=1))
-
-
-def count_bi(n: int, i: int) -> int:
-    """Permutations of [n] where value i is an ascent and i+1 a descent."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not 1 <= i < n:
-        raise ValueError(f"index {i} out of range for n={n}")
-    return perm_survey(n).bi_counts[i]
 
 
 @dataclass

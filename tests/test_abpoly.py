@@ -54,13 +54,6 @@ class TestBivarPoly:
         assert str(A - B.scale(3)) == "-3*b + a"
         assert str(ONE.scale(-1)) == "-1"
 
-    def test_json_form(self):
-        p = A.scale(2) + B
-        assert p.json_obj() == [
-            {"degA": 0, "degB": 1, "coeff": "1"},
-            {"degA": 1, "degB": 0, "coeff": "2"},
-        ]
-
     def test_evaluate(self):
         p = A * A + B.scale(3)
         assert p.evaluate(2, 5) == 19

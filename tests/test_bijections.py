@@ -3,12 +3,15 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treelike.bijections import (
     ColoredLetter,
     ColoredWord,
     CycleForm,
     MarkedRun,
+    _word_unrank,
     corner_to_run,
     corner_transfer_delta,
     count_colored_words,
@@ -16,7 +19,6 @@ from treelike.bijections import (
     enumerate_colored_words,
     glue,
     m_star,
-    m_star_inverse,
     parse_colored_word,
     parse_cycle_form,
     pt_to_tlt,
@@ -32,6 +34,7 @@ from treelike.core import (
     enumerate_nat,
     enumerate_pt,
     enumerate_tlt,
+    noc_class,
     parse_pt,
     parse_tlt,
     to_text,
@@ -216,7 +219,7 @@ class TestBlockSwap:
         m = parse_colored_word("1* 4 0* 1 2 2* 3 3*")
         swapped = m_star(m)
         assert swapped.text() == "1* 4 0* 2* 1 2 3* 3"
-        assert m_star_inverse(swapped) == m
+        assert m_star(swapped) == m
 
     def test_identity_branch(self):
         m = parse_colored_word("2 3 2* 3* 1 4 0* 1*")
@@ -230,13 +233,23 @@ class TestBlockSwap:
                     out = m_star(m)
                     changed = out != m
                     assert changed == (not out.letters[-1].pointed)
-                    assert m_star_inverse(out) == m
+                    assert m_star(out) == m
 
     def test_unpaired_block_is_value_error(self):
         # the pointed 0 is followed by one unpointed block and nothing to
         # swap it with
         with pytest.raises(ValueError, match="block pairs"):
             m_star(parse_colored_word("0* 1"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_involution_on_large_alphabets(self, data):
+        h = data.draw(st.integers(0, 8))
+        w = data.draw(st.integers(0, 8))
+        m = _word_unrank(h, w, data.draw(st.integers(0, count_colored_words(h, w) - 1)))
+        out = m_star(m)
+        assert m_star(out) == m
+        assert (out != m) == (not out.letters[-1].pointed)
 
 
 L_EX = "(6)(7 5 2 3)(9 1 8 4)"
@@ -328,6 +341,18 @@ class TestCornerRun:
         }
         assert set(image) == runs
         assert len(image) == tlt_corner_count(n)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_plain_pair_corners(self, n):
+        # a (row, col) tuple equal to a corner acts as the Cell does
+        for t in enumerate_tlt(n):
+            for c in t.path.corner_cells:
+                pair = (c.row, c.col)
+                assert cut_at_corner(t, pair) == cut_at_corner(t, c)
+                assert corner_to_run(t, pair) == corner_to_run(t, c)
+                r, ci = t.path.row_index(c.row), t.path.col_index(c.col)
+                if not (t.rows[r] >> ci) & 1:
+                    assert noc_class(t, pair) == noc_class(t, c)
 
     def test_triple_run_target(self):
         # the three marked positions of the decreasing word of size 3 all

@@ -232,8 +232,9 @@ def test_perm_ranks_follow_tables(n):
         for i, p in enumerate(perms):
             assert ranks[p] == i
             c = CycleForm.from_permutation(p)
+            assert len(c.cycles) == d
             assert _perm_rank(c) == i
-            assert _perm_unrank(n, d, i) == c
+            assert _perm_unrank(n, d, i) == p
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -403,9 +404,11 @@ def perm_and_index(draw):
 @given(perm_and_index())
 def test_perm_round_trips_to_size_30(ndi):
     n, d, i = ndi
-    c = _perm_unrank(n, d, i)  # the constructor checks the cycle form
-    assert c.size == n
-    assert cycle_count(c.to_permutation()) == len(c.cycles) == d
+    p = _perm_unrank(n, d, i)
+    assert sorted(p) == list(range(1, n + 1))
+    c = CycleForm.from_permutation(p)  # the constructor checks the cycle form
+    assert c.to_permutation() == p
+    assert cycle_count(p) == len(c.cycles) == d
     assert _perm_rank(c) == i
 
 
