@@ -17,7 +17,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import add
 from typing import Iterator, NamedTuple
 
 SOUTH = "S"
@@ -599,63 +598,92 @@ def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
     `NOC_CLASSES` over those fillings. A corner is the last cell of a row
     that is also the bottom-most cell of its column.
 
-    A frontier DP over the moves of `_cell_moves`. A state is (seen, lower,
-    flag, fr, fc). `seen` is the key's column mask; its bit for the move's
-    column says whether the cell above is covered. `lower` keeps, for the
-    corner columns, whether a filled cell sits in row index >= 1. `flag` is
-    0 while the row has no filled cell, 1 when its only one is in column 0
-    and 2 otherwise (rows without a corner use 2 for any). `fr`, `fc` count
-    the filled cells of the first row and of the first column. A state's
-    value is (fillings, AB, A1, 1B, OneOne): how many partial fillings reach
-    it, and how many empty corners of each class (see `noc_class`) they hold
-    in all."""
+    A frontier DP over the moves of `_cell_moves`. A state key is one int:
+    the walk's key (`seen`, the columns holding a filled cell, shifted left
+    by one, and bit 0 set once the row holds one), the corner columns with
+    a filled cell in row index >= 1 (`lower`, the same bits above `seen`),
+    and a high bit set once the row holds a filled cell outside column 0
+    (rows without a corner set it for any). A state's value is one int in
+    fixed-width lanes: a block of five lanes (fillings, AB, A1, 1B, OneOne)
+    per (first-row dots, first-column dots), the block of (fr, fc) at index
+    (fr - 1) * n_fc + fc - 1, with n_fc first-column counts in all (from
+    (0, 0) when row 0 has no cells, so no root). A lane holds how many partial fillings reach the state with that
+    (fr, fc), or how many empty corners of one class (see `noc_class`) they
+    hold in all. So a filled cell in row 0 or column 0 shifts the value up
+    one block row or one block, merging states adds their values, and an
+    empty corner adds every fillings lane to its class lane with one mask
+    and one shift. A lane never holds more than 2^cells partial fillings
+    times the corners, at most one per row, which fixes the lane width."""
     moves = _cell_moves(lengths, _TLT_RULES)
-    corner_rows = {r for r, lam in enumerate(lengths) if lam > max(lengths[r + 1 :], default=0)}
-    corner_cols = 0
-    for r in corner_rows:
-        corner_cols |= 2 << (lengths[r] - 1)
-    states = {(0, 0, 0, 0, 0): (1, 0, 0, 0, 0)}
+    # the corner rows, each with its corner's column bit
+    corners: dict[int, int] = {}
+    below = 0
+    for r in range(len(lengths) - 1, -1, -1):
+        if lengths[r] > below:
+            below = lengths[r]
+            corners[r] = 2 << (below - 1)
+    corner_cols = sum(corners.values())
+    lanes = sum(lengths) + len(lengths).bit_length()  # a row has at most one corner
+    lane = (1 << lanes) - 1
+    block = 5 * lanes
+    base = 1 if lengths[0] else 0  # the root cell is always dotted
+    n_fc = len(lengths) - lengths.count(0) + 1 - base  # first-column counts
+    n_blocks = (lengths[0] + 1 - base) * n_fc
+    # the fillings lane of every block
+    fill = ((1 << block * n_blocks) - 1) // ((1 << block) - 1) * lane
+    lower_shift = width + 1
+    wide = 1 << 2 * width + 2  # the row holds a filled cell outside column 0
+    flags = wide | 1
+    states = {0: 1}
     for r, bit, may, end in moves:
-        corner = end and r in corner_rows
-        # what a filled cell here does to the flag, lower, fr and fc
-        if end:
-            flag_to = 0
-        else:
-            flag_to = 1 if bit == 2 and r in corner_rows else 2
-        lower_to = bit & corner_cols if r else 0
-        dfr = 1 if r == 0 else 0
-        dfc = 1 if bit == 2 else 0
-        nxt = {}
+        nxt: dict[int, int] = {}
         get = nxt.get
-        for key, val in states.items():
-            seen, lower, flag, fr, fc = key
-            ok = may[(2 if flag else 0) | (1 if seen & bit else 0)]
+        # lower_bit: the cell is a corner (a row's last cell is one when the
+        # row has a corner), as its column's lower bit
+        lower_bit = bit << lower_shift if end and r in corners else 0
+        if end:
+            # the row's flags clear; at a corner also its column's lower bit
+            keep = ~(flags | lower_bit)
+            filled_set = bit
+        else:
+            keep = -1
+            filled_set = bit | (1 if bit == 2 and r in corners else flags)
+        if r and bit & corner_cols and not lower_bit:
+            filled_set |= bit << lower_shift
+        if r == 0:
+            shift = 0 if bit == 2 else n_fc * block
+        else:
+            shift = block if bit == 2 else 0
+        for key, v in states.items():
+            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
             if ok & _EMPTY:
-                if corner:
+                to = key & keep
+                if lower_bit:
                     # column test: no filled cell in rows 1.. above it;
                     # row test: none left of it but in column 0
-                    i = (3 if lower & bit else 1) + (1 if flag == 2 else 0)
-                    v = list(val)
-                    v[i] += v[0]
-                    v = tuple(v)
-                    to = (seen, lower & ~bit, 0, fr, fc)
+                    i = (3 if key & lower_bit else 1) + (1 if key & wide else 0)
+                    nxt[to] = get(to, 0) + v + ((v & fill) << i * lanes)
                 else:
-                    v = val
-                    to = (seen, lower, 0, fr, fc) if end else key
-                old = get(to)
-                nxt[to] = v if old is None else tuple(map(add, old, v))
+                    nxt[to] = get(to, 0) + v
             if ok & _FILLED:
-                low = lower & ~bit if corner else lower | lower_to
-                to = (seen | bit, low, flag_to, fr + dfr, fc + dfc)
-                old = get(to)
-                nxt[to] = val if old is None else tuple(map(add, old, val))
+                to = (key | filled_set) & keep
+                nxt[to] = get(to, 0) + (v << shift)
         states = nxt
-    done = ((1 << width) - 1) << 1
+    # every lower bit clears at its corner and the flags at the last row end
+    total = states.get(((1 << width) - 1) << 1, 0)
     out: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (seen, _, _, fr, fc), val in states.items():
-        if seen == done:
-            old = out.get((fr, fc))
-            out[(fr, fc)] = val if old is None else tuple(map(add, old, val))
+    l2, l3, l4 = 2 * lanes, 3 * lanes, 4 * lanes
+    for fr in range(base, lengths[0] + 1):
+        for fc in range(base, base + n_fc):
+            if total & lane:
+                out[(fr, fc)] = (
+                    total & lane,
+                    total >> lanes & lane,
+                    total >> l2 & lane,
+                    total >> l3 & lane,
+                    total >> l4 & lane,
+                )
+            total >>= block
     return out
 
 

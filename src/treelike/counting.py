@@ -2,14 +2,24 @@
 
 Formulas divide factored binomial products, never floats; every division
 checks exact divisibility. A survey tallies every statistic the checks read
-for one size, once, so the sweeps are shared across checks. The permutation
-survey visits every permutation. The tableau surveys never list a tableau:
-for each border path they count the fillings with a frontier DP over the
-same cell rules that `core.tlt_fillings`/`pt_fillings` follow
-(`core.tlt_filling_tallies`, `core.pt_filling_count`; a transfer-matrix
-count, Stanley, Enumerative Combinatorics 1, section 4.7), and the per-object
-sweeps they replaced are kept in the tests as oracles. No survey uses a
-closed form, so the checks stay independent of the formulas they test.
+for one size, once, so the sweeps are shared across checks. No survey lists
+a tableau, and only the cycle count lists the permutations:
+
+- `tlt_survey` and `pt_survey` count the fillings of each border path with
+  a frontier DP over the same cell rules that `core.tlt_fillings`/
+  `pt_fillings` follow (`core.tlt_filling_tallies`, whose values carry
+  every (first-row, first-column) class in integer lanes, and
+  `core.pt_filling_count`; a transfer-matrix count, Stanley, Enumerative
+  Combinatorics 1, section 4.7);
+- `perm_survey` sums the local permutation statistics with a positional DP
+  over (values used, last value, last step descended), and `bi_counts` with
+  an insertion DP that inserts 1, ..., n in turn;
+- `perm_cycle_dist` reads every permutation, since every DP for the cycle
+  count is the Stirling recurrence that the `stirling` check tests.
+
+The per-object sweeps and the earlier DPs they replaced are kept in the
+tests as oracles. No survey uses a closed form, so the checks stay
+independent of the formulas they test.
 """
 
 from __future__ import annotations
@@ -24,7 +34,6 @@ from .core import (
     NOC_CLASSES,
     SOUTH,
     BorderPath,
-    _bits,
     _pt_paths,
     _tlt_paths,
     pt_filling_count,
@@ -136,16 +145,6 @@ def stirling_row(n: int) -> dict[int, int]:
 # n+1 appended so the last letter is always an ascent value.
 
 
-def ascent_values(p: tuple[int, ...]) -> set[int]:
-    n = len(p)
-    out = set()
-    for j, v in enumerate(p):
-        nxt = p[j + 1] if j + 1 < n else n + 1
-        if nxt > v:
-            out.add(v)
-    return out
-
-
 def runs_of_size_1(p: tuple[int, ...]) -> list[int]:
     """Positions j with p[j-1] > p[j] > p[j+1], under sentinels n+1 and 0."""
     n = len(p)
@@ -158,32 +157,12 @@ def runs_of_size_1(p: tuple[int, ...]) -> list[int]:
     return out
 
 
-def cycle_count(p: tuple[int, ...]) -> int:
-    n = len(p)
-    seen = [False] * (n + 1)
-    cnt = 0
-    for s in range(1, n + 1):
-        if seen[s]:
-            continue
-        cnt += 1
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            j = p[j - 1]
-    return cnt
-
-
-def displacement(p: tuple[int, ...]) -> int:
-    return sum(max(v - j, 0) for j, v in enumerate(p, start=1))
-
-
 @dataclass
 class PermSurvey:
     n: int
     count: int = 0
     bi_counts: dict[int, int] = field(default_factory=dict)
     runs1_total: int = 0
-    cycle_dist: dict[int, int] = field(default_factory=dict)
     displacement_total: int = 0
     interior_dd_total: int = 0
     excedance_total: int = 0
@@ -192,38 +171,126 @@ class PermSurvey:
 
 @lru_cache(maxsize=64)
 def perm_survey(n: int) -> PermSurvey:
-    """One pass over all permutations of [n], tallying every statistic the
-    checks consume with integer arithmetic on each permutation."""
+    """The local statistics of all permutations of [n], summed without
+    listing them, and `bi_counts` from `perm_bi_counts`.
+
+    A positional DP: the permutation is written left to right, and a state
+    is (the values used, the last value, whether the last letter descended
+    from a letter). Each statistic is a sum over the letters of something
+    the letter, its position and its neighbours decide: a letter is a run
+    of size 1 when it descends from its left neighbour (or is first, after
+    the sentinel n + 1) and into its right one (or is last, before the
+    sentinel 0); an interior double descent when it does both between two
+    letters; and it adds its excess over its position to the displacement
+    and one to the excedances when it exceeds its position. A state's value
+    is one int in five lanes (words, runs of size 1, interior double
+    descents, displacement, excedances): how many words reach it, and their
+    totals so far. Writing the next letter adds, to each total, the words
+    times that letter's contribution."""
     if n < 1:
         raise ValueError("size must be positive")
-    by_bi: dict[int, int] = {}
-    cycles: dict[int, int] = {}
-    runs1 = interior_dd = disp = exc = last_is_n = 0
-    end = 1 << (n - 1)
-    # letters are 0-based here: value v + 1 of the permutation is v
-    for p in permutations(range(n)):
-        # bit v of asc: value v is an ascent value (its right neighbour is
-        # larger; the last letter's is the virtual n). Bit j of des: the
-        # letter at position j descends (the last one into the sentinel 0).
-        asc = 1 << p[-1]
-        des = end
-        for j in range(n - 1):
-            v = p[j]
-            if p[j + 1] > v:
-                asc |= 1 << v
+    # every total is below n^(n+2): n! words, each adding less than n^2
+    lanes = (n + 2) * n.bit_length()
+    lane = (1 << lanes) - 1
+    runs_1 = 1 << lanes
+    double = runs_1 | 1 << 2 * lanes  # a run of size 1 between two letters
+    full = (1 << n) - 1
+    # up[mask * n + v]: the words on the values of `mask` that end at v
+    # after an ascent or as the first letter; down: after a descent.
+    # Letters are 0-based here: value v + 1 of the permutation is v.
+    up = [0] * ((full + 1) * n)
+    down = [0] * ((full + 1) * n)
+    # what a letter w at position j (0-based) adds to displacement and
+    # excedances, at j * n + w
+    exceeds = 1 << 4 * lanes
+    placed = [(w - j) << 3 * lanes | exceeds if w > j else 0 for j in range(n) for w in range(n)]
+    for v in range(n):
+        up[(1 << v) * n + v] = 1 + placed[v]
+    for mask in range(1, full):
+        here = mask.bit_count() * n
+        row = mask * n
+        # the first letter is a run of size 1 when the second is below it
+        r1 = runs_1 if not mask & mask - 1 else 0
+        # a state (mask | w, w) has one source mask: it sums the states of
+        # `mask` that end below w (an ascent into w) or above it (a descent)
+        words = count = 0
+        for w in range(n):
+            if mask >> w & 1:
+                x = up[row + w] + down[row + w]
+                words += x
+                count += x & lane
             else:
-                des |= 1 << j
-            if v > j:  # the last letter, at position n - 1, never exceeds it
-                disp += v - j
-                exc += 1
-        # bit v: values v and v + 1 are an ascent and a descent value
-        bi = asc & ~(asc >> 1) & (end - 1)
-        by_bi[bi] = by_bi.get(bi, 0) + 1
-        # a run of size 1 descends from its left neighbour (or the sentinel
-        # n + 1 before the word) into its right one
-        runs1 += (des & (des << 1 | 1)).bit_count()
-        # an interior double descent is the same away from the sentinels
-        interior_dd += (des & des << 1 & (end - 1)).bit_count()
+                up[(mask | 1 << w) * n + w] = words + count * placed[here + w]
+        words = count = runs = 0
+        for w in range(n - 1, -1, -1):
+            if mask >> w & 1:
+                a, d = up[row + w], down[row + w]
+                words += a + d
+                count += (a + d) & lane
+                runs += (a & lane) * r1 + (d & lane) * double
+            else:
+                down[(mask | 1 << w) * n + w] = words + count * placed[here + w] + runs
+    last = full * n
+    ends_up, ends_down = sum(up[last:]), sum(down[last:])
+    # the last letter descends into the sentinel 0; a single letter also
+    # comes after the sentinel n + 1
+    total = ends_up + ends_down + ((ends_down + (ends_up if n == 1 else 0)) & lane) * runs_1
+    return PermSurvey(
+        n,
+        count=total & lane,
+        bi_counts=perm_bi_counts(n),
+        runs1_total=total >> lanes & lane,
+        interior_dd_total=total >> 2 * lanes & lane,
+        displacement_total=total >> 3 * lanes & lane,
+        excedance_total=total >> 4 * lanes,
+        last_is_n=(up[last + n - 1] + down[last + n - 1]) & lane,
+    )
+
+
+def perm_bi_counts(n: int) -> dict[int, int]:
+    """{i: the permutations of [n] where i is an ascent value and i + 1 a
+    descent value}, for 1 <= i < n, without listing them.
+
+    An insertion DP: a permutation of [n] is built by inserting 1, ..., n
+    in turn, each into one of the m + 1 slots of the word of m letters so
+    far. The new value is the largest, so it is an ascent value in the end
+    slot and a descent value in any other, and the letter left of its slot
+    becomes an ascent value; no other letter changes, and an ascent value
+    stays one. For each i, the states that can still end with i an ascent
+    and i + 1 a descent value are:
+
+    - once i is in: i last (so an ascent), or i a descent value;
+    - once i + 1 is in, never last again: i an ascent and i + 1 a descent
+      (`ad`), or both descents (`dd`).
+
+    A later value keeps `ad` in the end slot, in the slot right of i and in
+    the m - 2 others, and makes it both ascents right of i + 1; it keeps
+    `dd` in the end slot and the m - 2 others, and turns it into `ad` right
+    of i."""
+    out = {}
+    words = 1  # the words of i - 1 letters
+    for i in range(1, n):
+        # insert i into i - 1 letters: last in one slot, a descent value in
+        # the i - 1 others; then i + 1 into i letters: i + 1 a descent
+        # value, and i an ascent value if last or if i + 1 lands right of it
+        ad = words * i + words * (i - 1)
+        dd = words * (i - 1) * (i - 1)
+        for m in range(i + 1, n):  # insert m + 1 into m letters
+            ad, dd = ad * m + dd, dd * (m - 1)
+        out[i] = ad
+        words *= i
+    return out
+
+
+@lru_cache(maxsize=64)
+def perm_cycle_dist(n: int) -> dict[int, int]:
+    """{k: the permutations of [n] with k cycles}, one permutation at a
+    time. No DP is used here: every DP for the cycle count found is the
+    Stirling recurrence, which the `stirling` check sets this against."""
+    if n < 1:
+        raise ValueError("size must be positive")
+    cycles: dict[int, int] = {}
+    for p in permutations(range(n)):
         k = 0
         for i in range(n):
             # i opens a cycle exactly when it is the least letter on it
@@ -233,23 +300,7 @@ def perm_survey(n: int) -> PermSurvey:
             if j == i:
                 k += 1
         cycles[k] = cycles.get(k, 0) + 1
-        if p[-1] == n - 1:
-            last_is_n += 1
-    bi_counts = {i: 0 for i in range(1, n)}
-    for mask, cnt in by_bi.items():
-        for v in _bits(mask):
-            bi_counts[v + 1] += cnt
-    return PermSurvey(
-        n,
-        count=sum(cycles.values()),
-        bi_counts=bi_counts,
-        runs1_total=runs1,
-        cycle_dist=cycles,
-        displacement_total=disp,
-        interior_dd_total=interior_dd,
-        excedance_total=exc,
-        last_is_n=last_is_n,
-    )
+    return cycles
 
 
 # ---------------------------------------------------------------------------

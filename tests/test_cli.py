@@ -153,6 +153,22 @@ class TestVerify:
         assert code == 1
         assert ",false," in out
 
+    def test_planted_collision_fails_corner_run_bijection(self, monkeypatch):
+        # every corner of a tableau goes to the run of its first corner, so
+        # two corners share a run; the sweep keeps no set of images, and
+        # the failure row still counts the collisions from rebuilt sets
+        from treelike import bijections
+
+        real = bijections.corner_to_run
+        monkeypatch.setattr(
+            bijections, "corner_to_run", lambda t, c: real(t, t.path.corner_cells[0])
+        )
+        (row,) = verify.run_check_at("corner-run-bijection", 4)
+        assert not row.match
+        assert row.expected == "bijection;32"
+        assert row.actual == "collisions=8,missing=8,extra=0,inverse_mm=8;24"
+
+
     @pytest.mark.parametrize(
         "argv",
         [["--max-n", "0"], ["--check", "noc-conjecture", "--max-n", "2"]],

@@ -372,42 +372,117 @@ def test_every_cache_is_bounded():
 
 # functions that only tests call, kept on purpose
 ORPHANS_ALLOWED = {
-    "ascent_values": "oracle for perm_survey's ascent tallies",
-    "cycle_count": "oracle for perm_survey's cycle distribution and the permutation ranks",
-    "displacement": "oracle for perm_survey's displacement total",
     "enumerate_colored_words": "the word order that _word_rank and _word_unrank count; their oracle",
     "filling_count": "oracle for the completion tables that rank and unrank walk",
     "displacement_formula": "the paper's closed form, checked only by an acceptance test",
     "corners_closed_form": "the paper's closed form, checked only by acceptance tests",
+    "TreeLikeTableau.dots": "the dots as labelled cells, a view of an exported class that only tests read",
 }
+
+
+def _orphans(sources: dict, exported=()) -> set:
+    """The functions and methods of `sources` ({path: code}) that no code
+    names outside their own body (prose in a docstring does not count) and
+    that are not exported. A method is named `Class.method`.
+
+    Where the receiver's class is known the use is resolved: `self.x` or
+    `cls.x` inside a class, and `C.x` for a class C of the sources, count
+    only for that class's method x. Any other attribute `obj.x` counts for
+    every method and function named x, and a bare name `x` for every
+    function named x."""
+    import ast
+
+    trees = {path: ast.parse(code) for path, code in sources.items()}
+    classes = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    defs = []  # (class or None, name, file, first line, last line)
+    uses = []  # (class, None when unknown, or "" for a bare name; name, file, line)
+
+    def visit(node, path, cls, in_class_body):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, child.name, True)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = cls if in_class_body else None
+                defs.append((owner, child.name, path, child.lineno, child.end_lineno))
+            elif isinstance(child, ast.Name):
+                uses.append(("", child.id, path, child.lineno))
+            elif isinstance(child, ast.Attribute):
+                owner = None
+                if isinstance(child.value, ast.Name):
+                    receiver = child.value.id
+                    if receiver in ("self", "cls") and cls is not None:
+                        owner = cls
+                    elif receiver in classes:
+                        owner = receiver
+                uses.append((owner, child.attr, path, child.lineno))
+            visit(child, path, cls, False)
+
+    for path, tree in trees.items():
+        visit(tree, path, None, False)
+
+    def named(owner, name, path, first, last):
+        for u_owner, u_name, p, line in uses:
+            if u_name != name or (p == path and first <= line <= last):
+                continue
+            if owner is None and u_owner in ("", None):
+                return True
+            if owner is not None and u_owner in (owner, None):
+                return True
+        return False
+
+    return {
+        name if owner is None else f"{owner}.{name}"
+        for owner, name, path, first, last in defs
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in exported
+        and not named(owner, name, path, first, last)
+    }
 
 
 def test_every_function_has_a_caller():
     # each function or method of the package is named in code somewhere in
-    # src/ outside its own body (prose in a docstring does not count), or
-    # is exported, or is allowed above
-    import ast
+    # src/, or is exported, or is allowed above
     from pathlib import Path
 
     import treelike
 
-    defs = []  # (name, file, first line, last line)
-    uses = []  # (name, file, line)
-    for path in sorted(Path(treelike.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.append((node.name, path, node.lineno, node.end_lineno))
-            elif isinstance(node, ast.Name):
-                uses.append((node.id, path, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                uses.append((node.attr, path, node.lineno))
-    orphans = {
-        name
-        for name, path, first, last in defs
-        if not (name.startswith("__") and name.endswith("__"))
-        and name not in treelike.__all__
-        and not any(
-            u == name and (p != path or not first <= line <= last) for u, p, line in uses
-        )
+    sources = {
+        path: path.read_text() for path in sorted(Path(treelike.__file__).parent.glob("*.py"))
     }
-    assert orphans == set(ORPHANS_ALLOWED)
+    assert _orphans(sources, treelike.__all__) == set(ORPHANS_ALLOWED)
+
+
+def test_caller_guard_resolves_the_receiver():
+    # A.text is never called: B's call goes through self, and C's through
+    # the class, so neither counts for A; a read of `.size` on an unknown
+    # receiver still counts for every method named size
+    code = """
+class A:
+    def text(self):
+        return 1
+
+    def size(self):
+        return 2
+
+class B:
+    def text(self):
+        return 3
+
+    def show(self):
+        return self.text()
+
+class C:
+    @staticmethod
+    def text():
+        return 4
+
+def main(obj):
+    return B().show() + C.text() + obj.size()
+"""
+    assert _orphans({"m.py": code}) == {"A.text", "main"}

@@ -1,22 +1,31 @@
-"""The counting surveys against the per-object sweeps they replaced.
+"""The counting surveys against the per-object sweeps and the DPs they replaced.
 
 `tlt_survey` and `pt_survey` count the fillings of each border path with a
-frontier DP, and `perm_survey` reads each permutation with bit arithmetic.
-The reference versions below are the earlier sweeps, which build every
-filling or permutation and tally it one statistic at a time; they are kept
-here unchanged as oracles, and every field of every survey must agree with
-them wherever both run.
+frontier DP, and `perm_survey` sums the permutation statistics with a
+positional and an insertion DP, while `perm_cycle_dist` reads each
+permutation. The reference versions below are the earlier sweeps, which
+build every filling or permutation and tally it one statistic at a time,
+the fused per-permutation pass that `perm_survey` was, and the tuple-keyed
+tally DP that `core.tlt_filling_tallies` was; they are kept here unchanged
+as oracles, and every field of every survey must agree with them wherever
+both run.
 """
 
 import math
 from itertools import permutations
+from operator import add
 
 import pytest
 
 from treelike.core import (
+    _EMPTY,
+    _FILLED,
+    _TLT_RULES,
     NOC_CLASSES,
     SOUTH,
     BorderPath,
+    _bits,
+    _cell_moves,
     _noc_class_at,
     _pt_paths,
     _tlt_paths,
@@ -31,10 +40,8 @@ from treelike.counting import (
     PermSurvey,
     PtSurvey,
     TltSurvey,
-    ascent_values,
-    cycle_count,
-    displacement,
     noc_count,
+    perm_cycle_dist,
     perm_survey,
     pt_survey,
     runs_of_size_1,
@@ -47,8 +54,41 @@ from treelike.counting import (
 # oracles
 
 
+def ascent_values(p: tuple[int, ...]) -> set[int]:
+    """Values whose right neighbour is larger, with a virtual n+1 after
+    the last letter."""
+    n = len(p)
+    out = set()
+    for j, v in enumerate(p):
+        nxt = p[j + 1] if j + 1 < n else n + 1
+        if nxt > v:
+            out.add(v)
+    return out
+
+
+def cycle_count(p: tuple[int, ...]) -> int:
+    n = len(p)
+    seen = [False] * (n + 1)
+    cnt = 0
+    for s in range(1, n + 1):
+        if seen[s]:
+            continue
+        cnt += 1
+        j = s
+        while not seen[j]:
+            seen[j] = True
+            j = p[j - 1]
+    return cnt
+
+
+def displacement(p: tuple[int, ...]) -> int:
+    return sum(max(v - j, 0) for j, v in enumerate(p, start=1))
+
+
 def sweep_perm_survey(n):
+    """(PermSurvey, cycle distribution), one statistic at a time."""
     s = PermSurvey(n)
+    cycles = {}
     s.bi_counts = {i: 0 for i in range(1, n)}
     for p in permutations(range(1, n + 1)):
         s.count += 1
@@ -58,7 +98,7 @@ def sweep_perm_survey(n):
                 s.bi_counts[i] += 1
         s.runs1_total += len(runs_of_size_1(p))
         k = cycle_count(p)
-        s.cycle_dist[k] = s.cycle_dist.get(k, 0) + 1
+        cycles[k] = cycles.get(k, 0) + 1
         s.displacement_total += displacement(p)
         for j in range(1, n - 1):
             if p[j - 1] > p[j] > p[j + 1]:
@@ -66,7 +106,126 @@ def sweep_perm_survey(n):
         s.excedance_total += sum(1 for j, v in enumerate(p, start=1) if v > j)
         if p[-1] == n:
             s.last_is_n += 1
-    return s
+    return s, cycles
+
+
+def fused_perm_survey(n):
+    """(PermSurvey, cycle distribution) from one pass over all permutations
+    of [n], tallying every statistic with integer arithmetic on each
+    permutation: `perm_survey` and the cycle pass before the DPs."""
+    by_bi: dict[int, int] = {}
+    cycles: dict[int, int] = {}
+    runs1 = interior_dd = disp = exc = last_is_n = 0
+    end = 1 << (n - 1)
+    # letters are 0-based here: value v + 1 of the permutation is v
+    for p in permutations(range(n)):
+        # bit v of asc: value v is an ascent value (its right neighbour is
+        # larger; the last letter's is the virtual n). Bit j of des: the
+        # letter at position j descends (the last one into the sentinel 0).
+        asc = 1 << p[-1]
+        des = end
+        for j in range(n - 1):
+            v = p[j]
+            if p[j + 1] > v:
+                asc |= 1 << v
+            else:
+                des |= 1 << j
+            if v > j:  # the last letter, at position n - 1, never exceeds it
+                disp += v - j
+                exc += 1
+        # bit v: values v and v + 1 are an ascent and a descent value
+        bi = asc & ~(asc >> 1) & (end - 1)
+        by_bi[bi] = by_bi.get(bi, 0) + 1
+        # a run of size 1 descends from its left neighbour (or the sentinel
+        # n + 1 before the word) into its right one
+        runs1 += (des & (des << 1 | 1)).bit_count()
+        # an interior double descent is the same away from the sentinels
+        interior_dd += (des & des << 1 & (end - 1)).bit_count()
+        k = 0
+        for i in range(n):
+            # i opens a cycle exactly when it is the least letter on it
+            j = p[i]
+            while j > i:
+                j = p[j]
+            if j == i:
+                k += 1
+        cycles[k] = cycles.get(k, 0) + 1
+        if p[-1] == n - 1:
+            last_is_n += 1
+    bi_counts = {i: 0 for i in range(1, n)}
+    for mask, cnt in by_bi.items():
+        for v in _bits(mask):
+            bi_counts[v + 1] += cnt
+    survey = PermSurvey(
+        n,
+        count=sum(cycles.values()),
+        bi_counts=bi_counts,
+        runs1_total=runs1,
+        displacement_total=disp,
+        interior_dd_total=interior_dd,
+        excedance_total=exc,
+        last_is_n=last_is_n,
+    )
+    return survey, cycles
+
+
+def tuple_tlt_filling_tallies(lengths, width):
+    """`tlt_filling_tallies` as a DP whose state is the tuple (seen, lower,
+    flag, fr, fc) and whose value is the tuple (fillings, AB, A1, 1B,
+    OneOne). `seen` is the key's column mask; its bit for the move's column
+    says whether the cell above is covered. `lower` keeps, for the corner
+    columns, whether a filled cell sits in row index >= 1. `flag` is 0
+    while the row has no filled cell, 1 when its only one is in column 0
+    and 2 otherwise (rows without a corner use 2 for any). `fr`, `fc` count
+    the filled cells of the first row and of the first column."""
+    moves = _cell_moves(lengths, _TLT_RULES)
+    corner_rows = {r for r, lam in enumerate(lengths) if lam > max(lengths[r + 1 :], default=0)}
+    corner_cols = 0
+    for r in corner_rows:
+        corner_cols |= 2 << (lengths[r] - 1)
+    states = {(0, 0, 0, 0, 0): (1, 0, 0, 0, 0)}
+    for r, bit, may, end in moves:
+        corner = end and r in corner_rows
+        # what a filled cell here does to the flag, lower, fr and fc
+        if end:
+            flag_to = 0
+        else:
+            flag_to = 1 if bit == 2 and r in corner_rows else 2
+        lower_to = bit & corner_cols if r else 0
+        dfr = 1 if r == 0 else 0
+        dfc = 1 if bit == 2 else 0
+        nxt = {}
+        get = nxt.get
+        for key, val in states.items():
+            seen, lower, flag, fr, fc = key
+            ok = may[(2 if flag else 0) | (1 if seen & bit else 0)]
+            if ok & _EMPTY:
+                if corner:
+                    # column test: no filled cell in rows 1.. above it;
+                    # row test: none left of it but in column 0
+                    i = (3 if lower & bit else 1) + (1 if flag == 2 else 0)
+                    v = list(val)
+                    v[i] += v[0]
+                    v = tuple(v)
+                    to = (seen, lower & ~bit, 0, fr, fc)
+                else:
+                    v = val
+                    to = (seen, lower, 0, fr, fc) if end else key
+                old = get(to)
+                nxt[to] = v if old is None else tuple(map(add, old, v))
+            if ok & _FILLED:
+                low = lower & ~bit if corner else lower | lower_to
+                to = (seen | bit, low, flag_to, fr + dfr, fc + dfc)
+                old = get(to)
+                nxt[to] = val if old is None else tuple(map(add, old, val))
+        states = nxt
+    done = ((1 << width) - 1) << 1
+    out = {}
+    for (seen, _, _, fr, fc), val in states.items():
+        if seen == done:
+            old = out.get((fr, fc))
+            out[(fr, fc)] = val if old is None else tuple(map(add, old, val))
+    return out
 
 
 def sweep_tlt_survey(n):
@@ -148,12 +307,28 @@ def test_surveys_equal_the_sweeps(n):
     # vars() compares every field, dictionaries included
     assert vars(tlt_survey(n)) == vars(sweep_tlt_survey(n))
     assert vars(pt_survey(n)) == vars(sweep_pt_survey(n))
-    assert vars(perm_survey(n)) == vars(sweep_perm_survey(n))
+    survey, cycles = sweep_perm_survey(n)
+    assert vars(perm_survey(n)) == vars(survey)
+    assert perm_cycle_dist(n) == cycles
 
 
 @pytest.mark.slow
 def test_tlt_survey_equals_the_sweep_n9():
     assert vars(tlt_survey(9)) == vars(sweep_tlt_survey(9))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_split_perm_survey_equals_the_fused_pass(n):
+    survey, cycles = fused_perm_survey(n)
+    assert vars(perm_survey(n)) == vars(survey)
+    assert perm_cycle_dist(n) == cycles
+
+
+@pytest.mark.slow
+def test_split_perm_survey_equals_the_fused_pass_n9():
+    survey, cycles = fused_perm_survey(9)
+    assert vars(perm_survey(9)) == vars(survey)
+    assert perm_cycle_dist(9) == cycles
 
 
 def test_dp_tallies_equal_the_fillings_path_by_path():
@@ -168,6 +343,29 @@ def test_dp_tallies_equal_the_fillings_path_by_path():
             assert pt_filling_count(p.row_lengths, p.num_cols) == expected, steps
 
 
+def _paths_agree_with_the_tuple_dp(n):
+    for steps in _tlt_paths(n):
+        p = BorderPath(steps)
+        args = (p.row_lengths, p.num_cols)
+        assert tlt_filling_tallies(*args) == tuple_tlt_filling_tallies(*args), steps
+
+
+def test_lane_dp_equals_the_tuple_dp():
+    for n in range(1, 9):
+        _paths_agree_with_the_tuple_dp(n)
+    # the 8 x 8 square: its count needs 34 bits, far past any path above,
+    # and its lanes are wider than 64 bits
+    square = ((8,) * 8, 8)
+    tallies = tlt_filling_tallies(*square)
+    assert tallies == tuple_tlt_filling_tallies(*square)
+    assert sum(t[0] for t in tallies.values()).bit_length() == 34
+
+
+@pytest.mark.slow
+def test_lane_dp_equals_the_tuple_dp_n9():
+    _paths_agree_with_the_tuple_dp(9)
+
+
 def test_tlt_survey_n10_without_a_sweep():
     s = tlt_survey(10)
     assert s.count == math.factorial(10)
@@ -175,4 +373,3 @@ def test_tlt_survey_n10_without_a_sweep():
     assert s.corners_total == tlt_corner_count(10)
     assert s.noc_total == noc_count(10)
     assert s.transfer_delta_total == math.factorial(9)
-

@@ -4,8 +4,9 @@ Each check declares `expected(n)`, a closed form, and `actual(n)`, the
 survey or sweep it is set against. A check proves something only if
 neither side borrows the other:
 
-- the expected side runs with the three surveys trapped to raise, wherever
-  a module of the package binds them;
+- the expected side runs with the surveys (`tlt_survey`, `pt_survey`,
+  `perm_survey` with its `perm_bi_counts`, and `perm_cycle_dist`) trapped
+  to raise, wherever a module of the package binds them;
 - the module-level functions of `treelike.counting` and `treelike.abpoly`
   that the expected side calls are recorded, and the actual side then runs
   with exactly those trapped and with the caches of both modules cleared,
@@ -23,7 +24,8 @@ import pytest
 from treelike import abpoly, counting, verify
 
 SURVEYS = {"treelike.counting.tlt_survey", "treelike.counting.pt_survey",
-           "treelike.counting.perm_survey"}
+           "treelike.counting.perm_survey", "treelike.counting.perm_bi_counts",
+           "treelike.counting.perm_cycle_dist"}
 
 # expected-jumps compares two rational expressions by cross-multiplying:
 # each side is one form's numerator times the other form's denominator, so
@@ -128,3 +130,5 @@ def test_traps_reach_every_binding():
             abpoly.weight_sum(3)
         with pytest.raises(Trapped):
             counting.perm_survey(3)
+        with pytest.raises(Trapped):
+            verify.perm_cycle_dist(3)
