@@ -22,8 +22,7 @@ class BivarPoly:
 
     @staticmethod
     def from_dict(d: dict[tuple[int, int], int]) -> "BivarPoly":
-        items = tuple(sorted((k, v) for k, v in d.items() if v != 0))
-        return BivarPoly(items)
+        return BivarPoly(tuple(sorted(kv for kv in d.items() if kv[1])))
 
     @staticmethod
     def zero() -> "BivarPoly":
@@ -31,19 +30,20 @@ class BivarPoly:
 
     @staticmethod
     def const(c: int) -> "BivarPoly":
-        return BivarPoly.from_dict({(0, 0): c})
+        return BivarPoly((((0, 0), c),) if c else ())
 
     @staticmethod
     def term(c: int, da: int, db: int) -> "BivarPoly":
-        return BivarPoly.from_dict({(da, db): c})
+        return BivarPoly((((da, db), c),) if c else ())
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.coeffs)
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        d = self.as_dict()
+        d = dict(self.coeffs)
+        get = d.get
         for k, v in other.coeffs:
-            d[k] = d.get(k, 0) + v
+            d[k] = get(k, 0) + v
         return BivarPoly.from_dict(d)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
@@ -51,14 +51,16 @@ class BivarPoly:
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         d: dict[tuple[int, int], int] = {}
+        get = d.get
         for (da, db), u in self.coeffs:
             for (ea, eb), v in other.coeffs:
                 k = (da + ea, db + eb)
-                d[k] = d.get(k, 0) + u * v
+                d[k] = get(k, 0) + u * v
         return BivarPoly.from_dict(d)
 
     def scale(self, c: int) -> "BivarPoly":
-        return BivarPoly.from_dict({k: c * v for k, v in self.coeffs})
+        # scaling keeps the terms in order
+        return BivarPoly(tuple((k, c * v) for k, v in self.coeffs) if c else ())
 
     def evaluate(self, a: int, b: int) -> int:
         return sum(v * a**da * b**db for (da, db), v in self.coeffs)
@@ -72,27 +74,30 @@ class BivarPoly:
             return "0"
         parts = []
         for (da, db), v in self.coeffs:
-            mono = []
             if da:
-                mono.append("a" if da == 1 else f"a^{da}")
-            if db:
-                mono.append("b" if db == 1 else f"b^{db}")
-            body = "*".join(mono)
-            mag = abs(v)
+                body = "a" if da == 1 else f"a^{da}"
+                if db:
+                    body += "*b" if db == 1 else f"*b^{db}"
+            elif db:
+                body = "b" if db == 1 else f"b^{db}"
+            else:
+                body = ""
+            mag = -v if v < 0 else v
             if not body:
                 piece = str(mag)
             elif mag == 1:
                 piece = body
             else:
                 piece = f"{mag}*{body}"
-            parts.append(("- " if v < 0 else "+ ") + piece)
+            parts.append(f"- {piece}" if v < 0 else f"+ {piece}")
         out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 A = BivarPoly.term(1, 1, 0)
 B = BivarPoly.term(1, 0, 1)
 ONE = BivarPoly.const(1)
+A_PLUS_B = A + B
 
 
 def first_difference(p: BivarPoly, q: BivarPoly):
@@ -130,7 +135,7 @@ def t_poly(n: int) -> BivarPoly:
         raise ValueError("size must be nonnegative")
     if n <= 1:
         return ONE
-    return t_poly(n - 1) * (A + B + BivarPoly.const(n - 2))
+    return t_poly(n - 1) * (A_PLUS_B + BivarPoly.const(n - 2))
 
 
 def weight_sum(n: int) -> BivarPoly:

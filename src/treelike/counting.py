@@ -289,18 +289,18 @@ def perm_cycle_dist(n: int) -> dict[int, int]:
     Stirling recurrence, which the `stirling` check sets this against."""
     if n < 1:
         raise ValueError("size must be positive")
-    cycles: dict[int, int] = {}
-    for p in permutations(range(n)):
+    counts = [0] * (n + 1)
+    letters = range(n)
+    for p in permutations(letters):
         k = 0
-        for i in range(n):
+        for i in letters:
             # i opens a cycle exactly when it is the least letter on it
             j = p[i]
             while j > i:
                 j = p[j]
-            if j == i:
-                k += 1
-        cycles[k] = cycles.get(k, 0) + 1
-    return cycles
+            k += j == i
+        counts[k] += 1
+    return {k: c for k, c in enumerate(counts) if c}
 
 
 # ---------------------------------------------------------------------------
