@@ -14,7 +14,7 @@ from math import comb, factorial
 from .counting import exact_div, tlt_survey
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BivarPoly:
     """Polynomial in a and b; keys are (degA, degB), no zero coefficients."""
 

@@ -289,7 +289,7 @@ def perm_cycle_dist(n: int) -> dict[int, int]:
     Stirling recurrence, which the `stirling` check sets this against."""
     if n < 1:
         raise ValueError("size must be positive")
-    counts = [0] * (n + 1)
+    dist: dict[int, int] = {}
     letters = range(n)
     for p in permutations(letters):
         k = 0
@@ -299,8 +299,8 @@ def perm_cycle_dist(n: int) -> dict[int, int]:
             while j > i:
                 j = p[j]
             k += j == i
-        counts[k] += 1
-    return {k: c for k, c in enumerate(counts) if c}
+        dist[k] = dist.get(k, 0) + 1
+    return dist
 
 
 # ---------------------------------------------------------------------------

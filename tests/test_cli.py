@@ -168,7 +168,6 @@ class TestVerify:
         assert row.expected == "bijection;32"
         assert row.actual == "collisions=8,missing=8,extra=0,inverse_mm=8;24"
 
-
     @pytest.mark.parametrize(
         "argv",
         [["--max-n", "0"], ["--check", "noc-conjecture", "--max-n", "2"]],
