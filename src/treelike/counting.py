@@ -193,7 +193,8 @@ def perm_survey(n: int) -> PermSurvey:
     lanes = (n + 2) * n.bit_length()
     lane = (1 << lanes) - 1
     runs_1 = 1 << lanes
-    double = runs_1 | 1 << 2 * lanes  # a run of size 1 between two letters
+    # a descent after a descent: a run of size 1 and an interior double descent
+    double = runs_1 | 1 << 2 * lanes
     full = (1 << n) - 1
     # up[mask * n + v]: the words on the values of `mask` that end at v
     # after an ascent or as the first letter; down: after a descent.
