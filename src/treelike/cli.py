@@ -8,7 +8,6 @@ elapsed-time column of verification rows.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -74,6 +73,8 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         print(json.dumps([r.json_obj() for r in rows], indent=2))
     else:
+        import csv  # only the CSV branch needs it; start-up skips it
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["check", "n", "expected", "actual", "match", "elapsed_ms"])
         for r in rows:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
@@ -322,12 +320,23 @@ def run_checks(
     jobs: int = 1,
 ) -> list[Row]:
     """Run the named checks over their size ranges; rows come back in
-    registry order, sizes ascending, regardless of worker scheduling."""
+    registry order, sizes ascending, regardless of worker scheduling.
+    With `jobs` > 1 and more than one (check, n) task, the tasks run in a
+    process pool of at most one worker per task."""
     tasks = sorted(
         (CHECK_NAMES.index(name), n)
         for name in set(names)
         for n in check_range(name, max_n, long)
     )
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        results = map(_task, tasks) if pool is None else pool.map(_task, tasks)
-        return [row for rows in results for row in rows]
+    # a pool forks all its workers at the first submit, so it gets no more
+    # than there are tasks; the import is here so that a serial run never
+    # loads the process-pool stack
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_task, tasks))
+    else:
+        results = map(_task, tasks)
+    return [row for rows in results for row in rows]

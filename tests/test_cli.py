@@ -1,13 +1,19 @@
 """End-to-end command tests driven through main(argv)."""
 
+import concurrent.futures
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from treelike import verify
 from treelike.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 FIG_TLT_CANON = "SWSSWWWSW\no.o.o\noo.o\n..o.\no"
 FIG_PT = "SWSSWWWS\n0101\n111\n001\n"
@@ -143,6 +149,41 @@ class TestVerify:
         _, serial, _ = run_cli(capsys, "verify", "--max-n", "5", "--jobs", "1")
         _, parallel, _ = run_cli(capsys, "verify", "--max-n", "5", "--jobs", "2")
         assert strip_elapsed(serial) == strip_elapsed(parallel)
+
+    @pytest.mark.parametrize(
+        "check, max_n, jobs, workers",
+        [
+            ("runs1", 1, 64, None),  # one task: no pool at all
+            ("runs1", 3, 64, 3),  # never more workers than tasks
+            ("runs1", 5, 2, 2),
+            ("noc-conjecture", 4, 8, 2),  # min_n 3: two tasks
+        ],
+    )
+    def test_pool_gets_one_worker_per_task_at_most(
+        self, monkeypatch, check, max_n, jobs, workers
+    ):
+        # a recording stand-in for the pool, so that no process starts
+        built = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = map
+
+        def strip(rows):
+            return [(r.check, r.n, r.expected, r.actual, r.match) for r in rows]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        pooled = verify.run_checks([check], max_n=max_n, jobs=jobs)
+        assert built == ([] if workers is None else [workers])
+        assert strip(pooled) == strip(verify.run_checks([check], max_n=max_n))
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         bad = verify.Row(
@@ -281,3 +322,30 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_commands_load_no_process_pool_or_csv():
+    # a serial verify and enumerate must not pay for importing the process
+    # pool stack or csv; modules a bare interpreter already holds (site
+    # hooks) are not counted
+    code = (
+        "import io, sys\n"
+        "bare = set(sys.modules)\n"
+        "from treelike.cli import main\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "codes = [\n"
+        "    main(['enumerate', '--object', 'tlt', '--size', '3']),\n"
+        "    main(['verify', '--check', 'runs1', '--max-n', '3', '--format', 'json']),\n"
+        "]\n"
+        "sys.stdout = out\n"
+        "heavy = ('concurrent.futures', 'multiprocessing', 'csv')\n"
+        "loaded = sorted(m for m in set(sys.modules) - bare\n"
+        "                if any(m == h or m.startswith(h + '.') for h in heavy))\n"
+        "print(codes, loaded)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
