@@ -17,8 +17,6 @@ from itertools import accumulate, chain, groupby
 from typing import Iterator, NamedTuple
 
 from .core import (
-    EMPTY_COL_TABLEAU,
-    EMPTY_ROW_TABLEAU,
     SOUTH,
     WEST,
     BorderPath,
@@ -116,17 +114,8 @@ def _scatter(mask: int, sel: int) -> int:
     return out
 
 
-def cut_at_corner(
-    t: TreeLikeTableau, corner: Cell
-) -> tuple[TreeLikeTableau, TreeLikeTableau, NonAmbiguousTree]:
-    """Split at corner (i, i+1) into the part below, the part to the right,
-    and the rectangle above-left of the corner squeezed to a tree.
-
-    The left piece keeps the rows after i behind a fresh first row marking
-    which of its columns met the rectangle; the right piece keeps the
-    columns before i behind a fresh first column marking the rows that met
-    it. Either piece may be one of the two size-0 tableaux.
-    """
+def _cut(t: TreeLikeTableau, corner: Cell) -> tuple[tuple, tuple, tuple]:
+    # cut_at_corner on rows: each part as (steps, rows), nothing validated
     if corner not in t.path.corner_cells:
         raise ValueError(f"{corner} is not a corner")
     i = corner[0]  # by position, so a plain (row, col) pair works too
@@ -140,63 +129,71 @@ def cut_at_corner(
     for m in rect:
         used |= m
 
-    if i == t.size:
-        t_l = EMPTY_ROW_TABLEAU
-    else:
-        first = used & ((1 << w_l) - 1)
-        t_l = TreeLikeTableau(
-            BorderPath(SOUTH + steps[i + 1 :]), (first,) + t.rows[r_c:]
-        )
-
-    if i == 1:
-        t_r = EMPTY_COL_TABLEAU
-    else:
-        rows_r = tuple(
-            (row >> w_head) << 1 | (1 if m else 0) for row, m in zip(t.rows, rect[:-1])
-        )
-        t_r = TreeLikeTableau(BorderPath(steps[: i - 1] + WEST), rows_r)
-
+    # at i = n and at i = 1 these are the two size-0 pieces
+    left = (SOUTH + steps[i + 1 :], (used & ((1 << w_l) - 1),) + t.rows[r_c:])
+    right = (
+        steps[: i - 1] + WEST,
+        tuple((row >> w_head) << 1 | (1 if m else 0) for row, m in zip(t.rows, rect[:-1])),
+    )
     nat_rows = tuple(_gather(m, used) for m in rect if m)
-    nat_path = BorderPath(SOUTH * len(nat_rows) + WEST * used.bit_count())
-    nat = NonAmbiguousTree(TreeLikeTableau(nat_path, nat_rows))
-    return t_l, t_r, nat
+    return left, right, (SOUTH * len(nat_rows) + WEST * used.bit_count(), nat_rows)
+
+
+def cut_at_corner(
+    t: TreeLikeTableau, corner: Cell
+) -> tuple[TreeLikeTableau, TreeLikeTableau, NonAmbiguousTree]:
+    """Split at corner (i, i+1) into the part below, the part to the right,
+    and the rectangle above-left of the corner squeezed to a tree.
+
+    The left piece keeps the rows after i behind a fresh first row marking
+    which of its columns met the rectangle; the right piece keeps the
+    columns before i behind a fresh first column marking the rows that met
+    it. Either piece may be one of the two size-0 tableaux. Each part is
+    built by its validating constructor.
+    """
+    t_l, t_r, tree = (TreeLikeTableau(BorderPath(s), rows) for s, rows in _cut(t, corner))
+    return t_l, t_r, NonAmbiguousTree(tree)
+
+
+def _glue(left: tuple, right: tuple, tree: tuple) -> tuple[TreeLikeTableau, Cell]:
+    # glue on rows: the parts as (steps, rows); only the result is validated
+    (steps_l, rows_l), (steps_r, rows_r), (steps_t, rows_t) = left, right, tree
+    if steps_l == WEST:
+        raise ValueError("degenerate left piece must be the empty-row tableau")
+    if steps_r == SOUTH:
+        raise ValueError("degenerate right piece must be the empty-column tableau")
+    fr_l = first_row_points(rows_l)
+    fc_r = first_col_points(rows_r)
+    width, height = steps_t.count(WEST) - 1, steps_t.count(SOUTH) - 1
+    if width != fr_l:
+        raise ValueError(f"tree width {width} does not match left first-row dots {fr_l}")
+    if height != fc_r:
+        raise ValueError(
+            f"tree height {height} does not match right first-column dots {fc_r}"
+        )
+    i = len(steps_r)  # the right piece has size i - 1
+    w_l = steps_l.count(WEST)
+    w_head = w_l + 1
+    # the tree's columns are the left piece's first-row dots and column w_l;
+    # its rows go to the right piece's rows with a first-column dot, then
+    # to the corner's row
+    sel = rows_l[0] | 1 << w_l
+    rows = iter(rows_t)
+    masks = [
+        (_scatter(next(rows), sel) if row & 1 else 0) | (row >> 1) << w_head
+        for row in rows_r
+    ]
+    masks.append(_scatter(next(rows), sel))
+    masks.extend(rows_l[1:])
+    steps = steps_r[:-1] + SOUTH + WEST + steps_l[1:]
+    return TreeLikeTableau(BorderPath(steps), tuple(masks)), Cell(i, i + 1)
 
 
 def glue(
     t_l: TreeLikeTableau, t_r: TreeLikeTableau, nat: NonAmbiguousTree
 ) -> tuple[TreeLikeTableau, Cell]:
     """Inverse of cutting: rebuild the tableau and report its cut corner."""
-    if t_l.is_degenerate and t_l.path.steps != SOUTH:
-        raise ValueError("degenerate left piece must be the empty-row tableau")
-    if t_r.is_degenerate and t_r.path.steps != WEST:
-        raise ValueError("degenerate right piece must be the empty-column tableau")
-    fr_l = first_row_points(t_l.rows)
-    fc_r = first_col_points(t_r.rows)
-    if nat.width != fr_l:
-        raise ValueError(
-            f"tree width {nat.width} does not match left first-row dots {fr_l}"
-        )
-    if nat.height != fc_r:
-        raise ValueError(
-            f"tree height {nat.height} does not match right first-column dots {fc_r}"
-        )
-    i = t_r.size + 1
-    steps = t_r.path.steps[:-1] + SOUTH + WEST + t_l.path.steps[1:]
-    w_l = t_l.path.num_cols
-    w_head = w_l + 1
-    # the tree's columns are the left piece's first-row dots and column w_l;
-    # its rows go to the right piece's rows with a first-column dot, then
-    # to the corner's row
-    sel = t_l.rows[0] | 1 << w_l
-    tree = iter(nat.tableau.rows)
-    masks = [
-        (_scatter(next(tree), sel) if row & 1 else 0) | (row >> 1) << w_head
-        for row in t_r.rows
-    ]
-    masks.append(_scatter(next(tree), sel))
-    masks.extend(t_l.rows[1:])
-    t = TreeLikeTableau(BorderPath(steps), tuple(masks))
-    return t, Cell(i, i + 1)
+    return _glue(*((x.path.steps, x.rows) for x in (t_l, t_r, nat.tableau)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +219,8 @@ def _letter(value: int, pointed: bool) -> ColoredLetter:
 class ColoredWord:
     """An arrangement of pointed letters 0..h and unpointed letters 1..w.
 
-    The constructor checks the alphabet only; `is_valid` adds the order
-    conditions (last letter pointed, consecutive letters of one kind
-    increasing), which the block-swap map deliberately breaks.
+    The constructor checks the alphabet only; `_valid_word` checks the order
+    conditions, which the block-swap map deliberately breaks.
     """
 
     letters: tuple[ColoredLetter, ...]
@@ -239,16 +235,19 @@ class ColoredWord:
         if plain != list(range(1, self.w + 1)):
             raise ValueError(f"unpointed letters must be exactly 1..{self.w}")
 
-    def is_valid(self) -> bool:
-        if not self.letters[-1].pointed:
-            return False
-        for x, y in zip(self.letters, self.letters[1:]):
-            if x.pointed == y.pointed and x.value >= y.value:
-                return False
-        return True
-
     def text(self) -> str:
         return " ".join(l.token for l in self.letters)
+
+
+def _valid_word(letters: tuple[ColoredLetter, ...]) -> bool:
+    """The order conditions of a word: its last letter is pointed, and
+    consecutive letters of one kind increase."""
+    if not letters[-1].pointed:
+        return False
+    for x, y in zip(letters, letters[1:]):
+        if x.pointed == y.pointed and x.value >= y.value:
+            return False
+    return True
 
 
 def parse_colored_word(s: str) -> ColoredWord:
@@ -339,17 +338,17 @@ def count_colored_words(h: int, w: int) -> int:
     return pointed[h + 2] - pointed[h + 1]
 
 
-def _word_rank(m: ColoredWord) -> int:
-    """The position of a word among `enumerate_colored_words(m.h, m.w)`,
-    counted from 0: at each letter, the valid words that agree with it
-    before that letter and have an earlier letter there. Raises ValueError
-    for an invalid word."""
-    table = _word_counts(m.h, m.w)
-    pointed = list(range(m.h + 1))
-    plain = list(range(1, m.w + 1))
+def _word_rank(h: int, w: int, letters: tuple[ColoredLetter, ...]) -> int:
+    """The position of the letters of a word on the (h, w) alphabet among
+    `enumerate_colored_words(h, w)`, counted from 0: at each letter, the
+    valid words that agree with it before that letter and have an earlier
+    letter there. Raises ValueError for an invalid word."""
+    table = _word_counts(h, w)
+    pointed = list(range(h + 1))
+    plain = list(range(1, w + 1))
     last, last_pointed = -1, True
     rank = 0
-    for value, is_pointed in m.letters:
+    for value, is_pointed in letters:
         if is_pointed == last_pointed and value <= last:
             raise ValueError("not a valid colored word")
         a, b = len(pointed), len(plain)
@@ -372,9 +371,9 @@ def _word_rank(m: ColoredWord) -> int:
     return rank
 
 
-def _word_unrank(h: int, w: int, index: int) -> ColoredWord:
-    """The word at position `index` of `enumerate_colored_words(h, w)`;
-    ValueError when there is none."""
+def _word_unrank(h: int, w: int, index: int) -> tuple[ColoredLetter, ...]:
+    """The letters of the word at position `index` of
+    `enumerate_colored_words(h, w)`; ValueError when there is none."""
     if not 0 <= index < count_colored_words(h, w):
         raise ValueError(f"no colored word at index {index}")
     table = _word_counts(h, w)
@@ -406,7 +405,7 @@ def _word_unrank(h: int, w: int, index: int) -> ColoredWord:
                 i += 1
             index -= n
         letters.append(_letter(last, last_pointed))
-    return ColoredWord(tuple(letters), h, w)
+    return tuple(letters)
 
 
 @dataclass(frozen=True)
@@ -431,36 +430,38 @@ class CycleForm:
     def size(self) -> int:
         return sum(map(len, self.cycles))
 
-    @staticmethod
-    def from_permutation(p: tuple[int, ...]) -> "CycleForm":
-        n = len(p)
-        seen = [False] * (n + 1)
-        cycles = []
-        for s in range(1, n + 1):
-            if seen[s]:
-                continue
-            cyc = []
-            j = s
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = p[j - 1]
-            top = cyc.index(max(cyc))
-            cycles.append(tuple(cyc[top:] + cyc[:top]))
-        cycles.sort(key=lambda c: c[0])
-        return CycleForm(tuple(cycles))
-
-    def to_permutation(self) -> tuple[int, ...]:
-        out = [0] * self.size
-        for cyc in self.cycles:
-            prev = cyc[-1]
-            for v in cyc:
-                out[prev - 1] = v
-                prev = v
-        return tuple(out)
-
     def text(self) -> str:
         return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in self.cycles)
+
+
+def _cycles(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of a permutation of 1..n in the order of `CycleForm`."""
+    seen = [False] * (len(p) + 1)
+    cycles = []
+    for s in range(1, len(p) + 1):
+        if seen[s]:
+            continue
+        cyc = []
+        j = s
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = p[j - 1]
+        top = cyc.index(max(cyc))
+        cycles.append(tuple(cyc[top:] + cyc[:top]))
+    cycles.sort()  # the maxima are distinct and come first
+    return tuple(cycles)
+
+
+def _permutation(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The permutation whose cycles these are, the inverse of `_cycles`."""
+    out = [0] * sum(map(len, cycles))
+    for cyc in cycles:
+        prev = cyc[-1]
+        for v in cyc:
+            out[prev - 1] = v
+            prev = v
+    return tuple(out)
 
 
 def parse_cycle_form(s: str) -> CycleForm:
@@ -509,26 +510,47 @@ class MarkedRun:
 _POINTED_0 = ColoredLetter(0, True)
 
 
-def m_star(m: ColoredWord) -> ColoredWord:
-    """The block swap, an involution: swap each block pair after the
-    pointed 0. A word ending pointed whose pointed 0 is last or followed by
-    a pointed letter is left as it is; a swapped word ends unpointed, so
-    swapping it again undoes the swap."""
-    idx = m.letters.index(_POINTED_0)
-    if m.letters[-1].pointed and (idx == len(m.letters) - 1 or m.letters[idx + 1].pointed):
-        return m
-    head = list(m.letters[: idx + 1])
-    blocks = [list(g) for _, g in groupby(m.letters[idx + 1 :], lambda l: l.pointed)]
+def m_star(letters: tuple[ColoredLetter, ...]) -> tuple[ColoredLetter, ...]:
+    """The block swap on the letters of a word, an involution: swap each
+    block pair after the pointed 0. A word ending pointed whose pointed 0 is
+    last or followed by a pointed letter is left as it is; a swapped word
+    ends unpointed, so swapping it again undoes the swap."""
+    idx = letters.index(_POINTED_0)
+    if letters[-1].pointed and (idx == len(letters) - 1 or letters[idx + 1].pointed):
+        return letters
+    head = list(letters[: idx + 1])
+    blocks = [list(g) for _, g in groupby(letters[idx + 1 :], lambda l: l.pointed)]
     if len(blocks) % 2:
         raise ValueError("the letters after the pointed 0 do not form block pairs")
     for j in range(0, len(blocks), 2):
         head.extend(blocks[j + 1])
         head.extend(blocks[j])
-    return ColoredWord(tuple(head), m.h, m.w)
+    return tuple(head)
 
 
 # ---------------------------------------------------------------------------
 # triplet <-> marked run
+
+
+def _triplet_to_run(l_cycles: tuple, r_cycles: tuple, letters: tuple, h: int, w: int) -> MarkedRun:
+    # triplet_to_run on cycle tuples and the letters of a word on the (h, w)
+    # alphabet; only the result is validated
+    if h != len(l_cycles) or w != len(r_cycles):
+        raise ValueError("word alphabet does not match the cycle counts")
+    if not _valid_word(letters):
+        raise ValueError("not a valid colored word")
+    v = sum(map(len, l_cycles)) + 1
+    out: list[int] = []
+    k = -1
+    for value, pointed in m_star(letters):
+        if not pointed:
+            out.extend(x + v for x in r_cycles[value - 1])
+        elif value:
+            out.extend(l_cycles[value - 1])
+        else:
+            k = len(out) + 1
+            out.append(v)
+    return MarkedRun(tuple(out), k)
 
 
 def triplet_to_run(
@@ -536,30 +558,13 @@ def triplet_to_run(
 ) -> MarkedRun:
     """Substitute cycles for letters: pointed i becomes the i-th left
     cycle, unpointed j the j-th right cycle shifted up, and the pointed 0
-    the split value itself, after the block swap."""
-    if m.h != len(l_cycles.cycles) or m.w != len(r_cycles.cycles):
-        raise ValueError("word alphabet does not match the cycle counts")
-    if not m.is_valid():
-        raise ValueError("not a valid colored word")
-    v = l_cycles.size + 1
-    ms = m_star(m)
-    out: list[int] = []
-    k = -1
-    for letter in ms.letters:
-        if letter.pointed and letter.value == 0:
-            k = len(out) + 1
-            out.append(v)
-        elif letter.pointed:
-            out.extend(l_cycles.cycles[letter.value - 1])
-        else:
-            out.extend(x + v for x in r_cycles.cycles[letter.value - 1])
-    return MarkedRun(tuple(out), k)
+    the split value itself, after the block swap. Only the `MarkedRun` is
+    built; the inputs arrive validated."""
+    return _triplet_to_run(l_cycles.cycles, r_cycles.cycles, m.letters, m.h, m.w)
 
 
-def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
-    """Cut the permutation around the marked value into maximal blocks of
-    smaller and larger values, break each block at its left-to-right
-    maxima, and record the block order as a colored word."""
+def _run_to_triplet(mr: MarkedRun) -> tuple[tuple, tuple, tuple]:
+    # run_to_triplet as (left cycles, right cycles, letters), nothing built
     p, k = mr.perm, mr.k
     v = p[k - 1]
     small_cycles: list[list[int]] = []
@@ -579,19 +584,28 @@ def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
             cyc.append(e)
 
     # cycles start with distinct maxima, so sorting them sorts by maxima
-    l_sorted = sorted(map(tuple, small_cycles))
-    r_sorted = sorted(tuple(x - v for x in c) for c in big_cycles)
+    l_sorted = tuple(sorted(map(tuple, small_cycles)))
+    r_sorted = tuple(sorted(tuple(x - v for x in c) for c in big_cycles))
     letter = {c[0]: _letter(i, True) for i, c in enumerate(l_sorted, 1)}
     letter.update((c[0] + v, _letter(i, False)) for i, c in enumerate(r_sorted, 1))
     letter[v] = _POINTED_0
-    word = ColoredWord(tuple(map(letter.__getitem__, order)), len(l_sorted), len(r_sorted))
     # the value after the mark is smaller, so the pointed 0 is last or
     # followed by a pointed letter: m_star swaps exactly the words that end
     # unpointed, undoing the swap in triplet_to_run
-    word = m_star(word)
-    if not word.is_valid():
+    letters = m_star(tuple(map(letter.__getitem__, order)))
+    if not _valid_word(letters):
         raise ValueError("the block order does not give a valid colored word")
-    return CycleForm(tuple(l_sorted)), CycleForm(tuple(r_sorted)), word
+    return l_sorted, r_sorted, letters
+
+
+def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
+    """Cut the permutation around the marked value into maximal blocks of
+    smaller and larger values, break each block at its left-to-right
+    maxima, and record the block order as a colored word. The three parts
+    are built by their validating constructors."""
+    l_cycles, r_cycles, letters = _run_to_triplet(mr)
+    word = ColoredWord(letters, len(l_cycles), len(r_cycles))
+    return CycleForm(l_cycles), CycleForm(r_cycles), word
 
 
 # ---------------------------------------------------------------------------
@@ -616,36 +630,36 @@ def _piece_paths(k: int) -> tuple[tuple[BorderPath, ...], dict, dict]:
     return paths, index, {key: list(accumulate(c, initial=0)) for key, c in counts.items()}
 
 
-def _piece_rank(t: TreeLikeTableau, dots: tuple) -> int:
-    """The position of a side piece among the tableaux of its size whose
-    first-row or first-column dots match `dots` = (stat, d), in
-    `enumerate_tlt` order: the ones on earlier paths, then its filling's
-    rank among the fillings of its path with stat d. A size-0 piece is
-    alone at 0."""
-    if not t.size:
+def _piece_rank(steps: str, rows: tuple[int, ...], dots: tuple) -> int:
+    """The position of the side piece with these border steps and rows
+    among the tableaux of its size whose first-row or first-column dots
+    match `dots` = (stat, d), in `enumerate_tlt` order: the ones on earlier
+    paths, then its filling's rank among the fillings of its path with
+    stat d. A size-0 piece is alone at 0. `filling_rank` raises ValueError
+    on a filling the tableau constructor rejects or whose stat is not d."""
+    if len(steps) == 1:
         return 0
-    _, index, offsets = _piece_paths(t.size)
-    path = t.path
-    before = offsets[dots][index[path.steps]]
-    return before + filling_rank(path.row_lengths, path.num_cols, t.rows, dots)
+    paths, index, offsets = _piece_paths(len(steps) - 1)
+    i = index[steps]
+    rank = filling_rank(paths[i].row_lengths, paths[i].num_cols, rows, dots)
+    return offsets[dots][i] + rank
 
 
-def _piece_unrank(stat, k: int, d: int, index: int) -> TreeLikeTableau:
-    """The size-k tableau with stat d at position `index`, the inverse of
-    `_piece_rank`; size 0 gives the degenerate piece cutting leaves on that
-    side. ValueError when there is none."""
+def _piece_unrank(stat, k: int, d: int, index: int) -> tuple[str, tuple[int, ...]]:
+    """The (steps, rows) of the size-k tableau with stat d at position
+    `index`, the inverse of `_piece_rank`; size 0 gives the degenerate piece
+    cutting leaves on that side. ValueError when there is none."""
     if not k:
         if d or index:
             raise ValueError(f"no size-0 piece with {d} dots at index {index}")
-        return EMPTY_ROW_TABLEAU if stat is first_row_points else EMPTY_COL_TABLEAU
+        return (SOUTH, (0,)) if stat is first_row_points else (WEST, ())
     paths, _, offsets = _piece_paths(k)
     sums = offsets.get((stat, d))
     if sums is None or not 0 <= index < sums[-1]:
         raise ValueError(f"no tableau of size {k} with {d} dots at index {index}")
     i = bisect_right(sums, index) - 1
     path = paths[i]
-    rows = filling_unrank(path.row_lengths, path.num_cols, index - sums[i], (stat, d))
-    return TreeLikeTableau(path, rows)
+    return path.steps, filling_unrank(path.row_lengths, path.num_cols, index - sums[i], (stat, d))
 
 
 # Permutations of 1..n with d cycles, in `itertools.permutations` order.
@@ -667,12 +681,12 @@ def _stirling_rows(n: int) -> list[list[int]]:
     return rows
 
 
-def _perm_rank(c: CycleForm) -> int:
-    """The position of a permutation among those of its size with as many
-    cycles: at each position, the smaller unused values times their
-    completions."""
-    p = c.to_permutation()
-    n, d = len(p), len(c.cycles)
+def _perm_rank(cycles: tuple[tuple[int, ...], ...]) -> int:
+    """The position of the permutation with these cycles among those of its
+    size with as many cycles: at each position, the smaller unused values
+    times their completions."""
+    p = _permutation(cycles)
+    n, d = len(p), len(cycles)
     rows = _stirling_rows(n)
     head = list(range(n + 1))  # head[e]: the start of the open chain ending at e
     tail = list(range(n + 1))  # tail[s]: the end of the open chain starting at s
@@ -742,34 +756,35 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
     whose rank among `enumerate_colored_words` equals the rank of the
     tree's transpose among `enumerate_nat` of its grid (`filling_rank`,
     `_word_unrank`). Every rank is counted from completion counts, so no
-    tableau, permutation or grid is listed; the transpose is read off the
-    tree's row bits without building a second tree."""
-    t_l, t_r, nat = cut_at_corner(t, corner)
-    fr_l = first_row_points(t_l.rows)
-    fc_r = first_col_points(t_r.rows)
-    l_perm = _perm_unrank(t_l.size, fr_l, _piece_rank(t_l, (first_row_points, fr_l)))
-    r_perm = _perm_unrank(t_r.size, fc_r, _piece_rank(t_r, (first_col_points, fc_r)))
-    l_cycles = CycleForm.from_permutation(l_perm)
-    r_cycles = CycleForm.from_permutation(r_perm)
+    tableau, permutation or grid is listed.
+
+    The pieces, cycles and word stay rows and tuples: `filling_rank` checks
+    each piece and the tree as their constructors would, and the
+    `MarkedRun` is the one object built."""
+    (steps_l, rows_l), (steps_r, rows_r), (_, tree) = _cut(t, corner)
+    fr_l = first_row_points(rows_l)
+    fc_r = first_col_points(rows_r)
+    l_rank = _piece_rank(steps_l, rows_l, (first_row_points, fr_l))
+    r_rank = _piece_rank(steps_r, rows_r, (first_col_points, fc_r))
+    l_cycles = _cycles(_perm_unrank(len(steps_l) - 1, fr_l, l_rank))
+    r_cycles = _cycles(_perm_unrank(len(steps_r) - 1, fc_r, r_rank))
 
     # the word pairs with the transpose of the tree, ranked in place
-    rows = transpose_bits(nat.tableau.rows, fr_l + 1)
-    m = _word_unrank(fr_l, fc_r, filling_rank((fc_r + 1,) * (fr_l + 1), fc_r + 1, rows))
-    return triplet_to_run(l_cycles, r_cycles, m)
+    rows = transpose_bits(tree, fr_l + 1)
+    index = filling_rank((fc_r + 1,) * (fr_l + 1), fc_r + 1, rows)
+    return _triplet_to_run(l_cycles, r_cycles, _word_unrank(fr_l, fc_r, index), fr_l, fc_r)
 
 
 def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
-    """Inverse of the corner-to-run map: split the run into cycle forms and
-    a colored word, unrank each side piece at its cycle form's rank
-    (`_perm_rank`, `_piece_unrank`), and unrank the tree that pairs with
-    the word (`_word_rank`, `filling_unrank`) straight into the rows of its
-    transpose, the one validated tree that `glue` takes."""
-    l_cycles, r_cycles, m = run_to_triplet(mr)
-
-    t_l = _piece_unrank(first_row_points, l_cycles.size, m.h, _perm_rank(l_cycles))
-    t_r = _piece_unrank(first_col_points, r_cycles.size, m.w, _perm_rank(r_cycles))
-
-    rows = filling_unrank((m.w + 1,) * (m.h + 1), m.w + 1, _word_rank(m))
-    path = BorderPath(SOUTH * (m.w + 1) + WEST * (m.h + 1))
-    nat = NonAmbiguousTree(TreeLikeTableau(path, transpose_bits(rows, m.w + 1)))
-    return glue(t_l, t_r, nat)
+    """Inverse of the corner-to-run map: split the run into cycles and a
+    colored word, unrank each side piece at its cycles' rank (`_perm_rank`,
+    `_piece_unrank`), and unrank the tree that pairs with the word
+    (`_word_rank`, `filling_unrank`) straight into the rows of its
+    transpose. Unranking emits only valid pieces, so the glued
+    `TreeLikeTableau` is the one object built and validated."""
+    l_cycles, r_cycles, letters = _run_to_triplet(mr)
+    h, w = len(l_cycles), len(r_cycles)
+    left = _piece_unrank(first_row_points, sum(map(len, l_cycles)), h, _perm_rank(l_cycles))
+    right = _piece_unrank(first_col_points, sum(map(len, r_cycles)), w, _perm_rank(r_cycles))
+    rows = filling_unrank((w + 1,) * (h + 1), w + 1, _word_rank(h, w, letters))
+    return _glue(left, right, (SOUTH * (w + 1) + WEST * (h + 1), transpose_bits(rows, w + 1)))

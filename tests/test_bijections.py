@@ -1,5 +1,6 @@
 """Round trips and worked instances for every map."""
 
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -11,6 +12,9 @@ from treelike.bijections import (
     ColoredWord,
     CycleForm,
     MarkedRun,
+    _cycles,
+    _permutation,
+    _valid_word,
     _word_unrank,
     corner_to_run,
     corner_transfer_delta,
@@ -31,6 +35,8 @@ from treelike.core import (
     EMPTY_COL_TABLEAU,
     EMPTY_ROW_TABLEAU,
     Cell,
+    NonAmbiguousTree,
+    TreeLikeTableau,
     enumerate_nat,
     enumerate_pt,
     enumerate_tlt,
@@ -147,11 +153,11 @@ class TestColoredWords:
             parse_colored_word("1 2")
 
     def test_validity_conditions(self):
-        assert parse_colored_word("1 0* 1*").is_valid()
-        assert not parse_colored_word("0* 1* 1").is_valid()  # ends unpointed
-        assert not parse_colored_word("1* 0* 2*").is_valid()  # pointed decrease
+        assert _valid_word(parse_colored_word("1 0* 1*").letters)
+        assert not _valid_word(parse_colored_word("0* 1* 1").letters)  # ends unpointed
+        assert not _valid_word(parse_colored_word("1* 0* 2*").letters)  # pointed decrease
         w = parse_colored_word("2 1 0*")
-        assert not w.is_valid()  # unpointed decrease
+        assert not _valid_word(w.letters)  # unpointed decrease
 
     def test_parse_round_trip(self):
         s = "2 3 2* 3* 1 4 0* 1*"
@@ -172,7 +178,7 @@ class TestColoredWords:
         assert words == list(enumerate_colored_words(2, 2))
         assert len(set(words)) == len(words)
         for wrd in words:
-            assert wrd.is_valid()
+            assert _valid_word(wrd.letters)
 
 
 class TestCycleForm:
@@ -190,8 +196,8 @@ class TestCycleForm:
     def test_permutation_round_trip(self):
         for n in range(0, 6):
             for p in permutations(range(1, n + 1)):
-                cf = CycleForm.from_permutation(p)
-                assert cf.to_permutation() == p
+                cf = CycleForm(_cycles(p))  # the constructor checks the cycle form
+                assert _permutation(cf.cycles) == p
 
     def test_validation(self):
         with pytest.raises(ValueError, match="maximum"):
@@ -217,29 +223,29 @@ class TestMarkedRun:
 class TestBlockSwap:
     def test_worked_instance(self):
         m = parse_colored_word("1* 4 0* 1 2 2* 3 3*")
-        swapped = m_star(m)
-        assert swapped.text() == "1* 4 0* 2* 1 2 3* 3"
-        assert m_star(swapped) == m
+        swapped = m_star(m.letters)
+        assert ColoredWord(swapped, m.h, m.w).text() == "1* 4 0* 2* 1 2 3* 3"
+        assert m_star(swapped) == m.letters
 
     def test_identity_branch(self):
         m = parse_colored_word("2 3 2* 3* 1 4 0* 1*")
-        assert m_star(m) == m
+        assert m_star(m.letters) == m.letters
 
     def test_branch_readable_from_last_letter(self):
         # identity keeps the word ending pointed; the swap ends unpointed
         for h in range(3):
             for w in range(3):
                 for m in enumerate_colored_words(h, w):
-                    out = m_star(m)
-                    changed = out != m
-                    assert changed == (not out.letters[-1].pointed)
-                    assert m_star(out) == m
+                    out = m_star(m.letters)
+                    changed = out != m.letters
+                    assert changed == (not out[-1].pointed)
+                    assert m_star(out) == m.letters
 
     def test_unpaired_block_is_value_error(self):
         # the pointed 0 is followed by one unpointed block and nothing to
         # swap it with
         with pytest.raises(ValueError, match="block pairs"):
-            m_star(parse_colored_word("0* 1"))
+            m_star(parse_colored_word("0* 1").letters)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -249,7 +255,7 @@ class TestBlockSwap:
         m = _word_unrank(h, w, data.draw(st.integers(0, count_colored_words(h, w) - 1)))
         out = m_star(m)
         assert m_star(out) == m
-        assert (out != m) == (not out.letters[-1].pointed)
+        assert (out != m) == (not out[-1].pointed)
 
 
 L_EX = "(6)(7 5 2 3)(9 1 8 4)"
@@ -353,6 +359,35 @@ class TestCornerRun:
                 r, ci = t.path.row_index(c.row), t.path.col_index(c.col)
                 if not (t.rows[r] >> ci) & 1:
                     assert noc_class(t, pair) == noc_class(t, c)
+
+    @pytest.mark.parametrize("corner", [Cell(2, 3), (1, 1), None])
+    def test_rejects_non_corner(self, corner):
+        t = parse_tlt("SW\no")
+        for f in (cut_at_corner, corner_to_run):
+            with pytest.raises(ValueError, match="not a corner"):
+                f(t, corner)
+
+    def test_one_validation_per_round_trip(self, monkeypatch):
+        # the pieces, cycles and word stay rows and tuples: each map builds
+        # only the object it returns
+        built = Counter()
+        for cls in (TreeLikeTableau, NonAmbiguousTree, CycleForm, ColoredWord, MarkedRun):
+
+            def counted(self, real=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for n in range(1, 6):
+            for t in list(enumerate_tlt(n)):
+                for c in t.path.corner_cells:
+                    built.clear()
+                    mr = corner_to_run(t, c)
+                    assert built == {"MarkedRun": 1}
+                    built.clear()
+                    back = run_to_corner(mr)
+                    assert built == {"TreeLikeTableau": 1}
+                    assert back == (t, c)
 
     def test_triple_run_target(self):
         # the three marked positions of the decreasing word of size 3 all

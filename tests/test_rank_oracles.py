@@ -26,11 +26,14 @@ from treelike.bijections import (
     ColoredWord,
     CycleForm,
     MarkedRun,
+    _cycles,
     _perm_rank,
     _perm_unrank,
     _piece_paths,
     _piece_rank,
+    _permutation,
     _piece_unrank,
+    _valid_word,
     _word_rank,
     _word_unrank,
     corner_to_run,
@@ -120,11 +123,11 @@ def table_corner_to_run(t, corner):
 
     _, ranks_l = _tlts_by(first_row_points, t_l.size)
     perms_l, _ = _perms_by_cycles(t_l.size)
-    l_cycles = CycleForm.from_permutation(perms_l[fr_l][ranks_l[t_l]])
+    l_cycles = CycleForm(_cycles(perms_l[fr_l][ranks_l[t_l]]))
 
     _, ranks_r = _tlts_by(first_col_points, t_r.size)
     perms_r, _ = _perms_by_cycles(t_r.size)
-    r_cycles = CycleForm.from_permutation(perms_r[fc_r][ranks_r[t_r]])
+    r_cycles = CycleForm(_cycles(perms_r[fc_r][ranks_r[t_r]]))
 
     grid, ranks = table_grid(fr_l, fc_r)
     m = grid[ColoredWord][ranks[NonAmbiguousTree(transpose(nat.tableau))]]
@@ -136,11 +139,11 @@ def table_run_to_corner(mr):
 
     buckets_l, _ = _tlts_by(first_row_points, l_cycles.size)
     _, perm_ranks_l = _perms_by_cycles(l_cycles.size)
-    t_l = buckets_l[m.h][perm_ranks_l[l_cycles.to_permutation()]]
+    t_l = buckets_l[m.h][perm_ranks_l[_permutation(l_cycles.cycles)]]
 
     buckets_r, _ = _tlts_by(first_col_points, r_cycles.size)
     _, perm_ranks_r = _perms_by_cycles(r_cycles.size)
-    t_r = buckets_r[m.w][perm_ranks_r[r_cycles.to_permutation()]]
+    t_r = buckets_r[m.w][perm_ranks_r[_permutation(r_cycles.cycles)]]
 
     grid, ranks = table_grid(m.h, m.w)
     nat = NonAmbiguousTree(transpose(grid[NonAmbiguousTree][ranks[m]].tableau))
@@ -164,6 +167,11 @@ SMALL_GRIDS = [(h, w) for h in range(7) for w in range(7) if h + w <= 6]
 
 STATS = [first_row_points, first_col_points]
 STAT_IDS = ["first-row", "first-col"]
+
+
+def unranked_piece(stat, k, d, i):
+    steps, rows = _piece_unrank(stat, k, d, i)
+    return TreeLikeTableau(BorderPath(steps), rows)  # the validating constructor
 
 
 def stirling(n, d):
@@ -192,8 +200,8 @@ def test_word_ranks_follow_enumeration(h, w):
     words = list(enumerate_colored_words(h, w))
     assert count_colored_words(h, w) == len(words)
     for i, m in enumerate(words):
-        assert _word_rank(m) == i
-        assert _word_unrank(h, w, i) == m
+        assert _word_rank(h, w, m.letters) == i
+        assert _word_unrank(h, w, i) == m.letters
 
 
 def test_filling_rank_on_every_tree_like_shape():
@@ -216,8 +224,8 @@ def test_piece_ranks_follow_tables(k, stat):
     for d, pieces in buckets.items():
         for i, t in enumerate(pieces):
             assert ranks[t] == i
-            assert _piece_rank(t, (stat, d)) == i
-            assert _piece_unrank(stat, k, d, i) == t
+            assert _piece_rank(t.path.steps, t.rows, (stat, d)) == i
+            assert _piece_unrank(stat, k, d, i) == (t.path.steps, t.rows)
     if k:
         # the offsets count exactly the tableaux of each bucket
         _, _, offsets = _piece_paths(k)
@@ -232,9 +240,9 @@ def test_perm_ranks_follow_tables(n):
         assert len(perms) == stirling(n, d)
         for i, p in enumerate(perms):
             assert ranks[p] == i
-            c = CycleForm.from_permutation(p)
+            c = CycleForm(_cycles(p))
             assert len(c.cycles) == d
-            assert _perm_rank(c) == i
+            assert _perm_rank(c.cycles) == i
             assert _perm_unrank(n, d, i) == p
 
 
@@ -276,6 +284,29 @@ def test_rejected_fillings_raise():
                 else:
                     with pytest.raises(ValueError):
                         filling_rank(lengths, width, rows)
+    # restricted to `dots` = (stat, d), every shape up to size 5, both stats
+    # and every d: a rank exactly when the constructor accepts the filling
+    # and its stat is d, namely its position among those fillings; the
+    # corner-to-run map relies on this to check the pieces it cuts
+    for n in range(1, 6):
+        for steps in _tlt_paths(n):
+            path = BorderPath(steps)
+            lengths, width = path.row_lengths, path.num_cols
+            order = list(tlt_fillings(lengths, width))
+            for rows in product(*(range(1 << lam) for lam in lengths)):
+                try:
+                    TreeLikeTableau(path, rows)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                for stat in STATS:
+                    for d in range(n + 2):
+                        if accepted and stat(rows) == d:
+                            rank = [r for r in order if stat(r) == d].index(rows)
+                            assert filling_rank(lengths, width, rows, (stat, d)) == rank
+                        else:
+                            with pytest.raises(ValueError):
+                                filling_rank(lengths, width, rows, (stat, d))
 
 
 @pytest.mark.parametrize(
@@ -357,9 +388,9 @@ def test_rank_with_wrong_dot_count_raises():
 @pytest.mark.parametrize("text", ["1* 4 0* 2* 1 2 3* 3", "2* 1* 0*", "0* 1"])
 def test_invalid_word_rank_raises(text):
     m = parse_colored_word(text)
-    assert not m.is_valid()
+    assert not _valid_word(m.letters)
     with pytest.raises(ValueError, match="not a valid colored word"):
-        _word_rank(m)
+        _word_rank(m.h, m.w, m.letters)
 
 
 def test_negative_alphabet():
@@ -389,9 +420,9 @@ def test_round_trips_on_large_grids(hwi):
     rows = filling_unrank(lengths, width, i)
     grid_tree(h, w, rows)  # the validating constructor accepts it
     assert filling_rank(lengths, width, rows) == i
-    m = _word_unrank(h, w, i)
-    assert m.is_valid()
-    assert _word_rank(m) == i
+    m = ColoredWord(_word_unrank(h, w, i), h, w)  # the constructor checks the alphabet
+    assert _valid_word(m.letters)
+    assert _word_rank(h, w, m.letters) == i
 
 
 @st.composite
@@ -407,10 +438,10 @@ def test_perm_round_trips_to_size_30(ndi):
     n, d, i = ndi
     p = _perm_unrank(n, d, i)
     assert sorted(p) == list(range(1, n + 1))
-    c = CycleForm.from_permutation(p)  # the constructor checks the cycle form
-    assert c.to_permutation() == p
+    c = CycleForm(_cycles(p))  # the constructor checks the cycle form
+    assert _permutation(c.cycles) == p
     assert cycle_count(p) == len(c.cycles) == d
-    assert _perm_rank(c) == i
+    assert _perm_rank(c.cycles) == i
 
 
 @st.composite
@@ -425,10 +456,10 @@ def piece_and_index(draw):
 @given(piece_and_index())
 def test_piece_round_trips_past_the_tables(args):
     stat, k, d, i = args
-    t = _piece_unrank(stat, k, d, i)  # built by the validating constructor
+    t = unranked_piece(stat, k, d, i)
     assert t.size == k
     assert stat(t.rows) == d
-    assert _piece_rank(t, (stat, d)) == i
+    assert _piece_rank(t.path.steps, t.rows, (stat, d)) == i
 
 
 @settings(max_examples=200, deadline=None)
@@ -438,7 +469,7 @@ def test_tableau_maps_round_trip_past_the_sweeps(args):
     # to size 7 in this suite (size 8 under `verify --long`); the pieces drawn
     # here have size 9 or 10
     stat, k, d, i = args
-    t = _piece_unrank(stat, k, d, i)
+    t = unranked_piece(stat, k, d, i)
     assert pt_to_tlt(tlt_to_pt(t)) == t
     flipped = transpose(t)
     assert transpose(flipped) == t
