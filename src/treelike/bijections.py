@@ -151,8 +151,12 @@ def cut_at_corner(
     it. Either piece may be one of the two size-0 tableaux. Each part is
     built by its validating constructor.
     """
-    t_l, t_r, tree = (TreeLikeTableau(BorderPath(s), rows) for s, rows in _cut(t, corner))
-    return t_l, t_r, NonAmbiguousTree(tree)
+    (steps_l, rows_l), (steps_r, rows_r), (steps_t, rows_t) = _cut(t, corner)
+    return (
+        TreeLikeTableau(BorderPath(steps_l), rows_l),
+        TreeLikeTableau(BorderPath(steps_r), rows_r),
+        NonAmbiguousTree(TreeLikeTableau(BorderPath(steps_t), rows_t)),
+    )
 
 
 def _glue(left: tuple, right: tuple, tree: tuple) -> tuple[TreeLikeTableau, Cell]:
@@ -192,8 +196,12 @@ def _glue(left: tuple, right: tuple, tree: tuple) -> tuple[TreeLikeTableau, Cell
 def glue(
     t_l: TreeLikeTableau, t_r: TreeLikeTableau, nat: NonAmbiguousTree
 ) -> tuple[TreeLikeTableau, Cell]:
-    """Inverse of cutting: rebuild the tableau and report its cut corner."""
-    return _glue(*((x.path.steps, x.rows) for x in (t_l, t_r, nat.tableau)))
+    """Inverse of cutting: rebuild the tableau and report its cut corner.
+    The parts arrive validated; the rebuilt tableau goes through its
+    validating constructor."""
+    tree = nat.tableau
+    left, right = (t_l.path.steps, t_l.rows), (t_r.path.steps, t_r.rows)
+    return _glue(left, right, (tree.path.steps, tree.rows))
 
 
 # ---------------------------------------------------------------------------
