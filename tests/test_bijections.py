@@ -360,7 +360,7 @@ class TestCornerRun:
                 if not (t.rows[r] >> ci) & 1:
                     assert noc_class(t, pair) == noc_class(t, c)
 
-    @pytest.mark.parametrize("corner", [Cell(2, 3), (1, 1), None])
+    @pytest.mark.parametrize("corner", [Cell(2, 3), (1, 1), None], ids=["cell", "pair", "none"])
     def test_rejects_non_corner(self, corner):
         t = parse_tlt("SW\no")
         for f in (cut_at_corner, corner_to_run):
