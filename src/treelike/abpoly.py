@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
-from .counting import exact_div, tlt_survey
+from .counting import tlt_survey
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,21 +186,6 @@ def class_closed_form(n: int, cls: str) -> BivarPoly:
     if cls == "1B":
         return B.scale(comb(n - 2, 2)) * t_poly(n - 2)
     raise ValueError(f"no closed form for class {cls!r}")
-
-
-def corners_closed_form(n: int) -> BivarPoly:
-    """Closed form for the weighted corner count, valid when the
-    non-occupied conjecture holds."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    inner = (
-        A * A
-        + B * B
-        + (A * B).scale(n)
-        + (A + B).scale(exact_div(n * n - n - 4, 2))
-        + BivarPoly.const(exact_div((n + 2) * (n - 2) * (n - 3), 6))
-    )
-    return inner * t_poly(n - 2)
 
 
 # ---------------------------------------------------------------------------

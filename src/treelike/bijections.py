@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, groupby
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .core import (
     SOUTH,
@@ -272,41 +272,10 @@ def parse_colored_word(s: str) -> ColoredWord:
     return ColoredWord(tuple(letters), h, w)
 
 
-def enumerate_colored_words(h: int, w: int) -> Iterator[ColoredWord]:
-    """All valid words on the (h, w) alphabet, ordered lexicographically by
-    letter keys (value first, unpointed before pointed)."""
-    if h < 0 or w < 0:
-        raise ValueError("bad alphabet")
-    alphabet = sorted(
-        [ColoredLetter(v, True) for v in range(h + 1)]
-        + [ColoredLetter(v, False) for v in range(1, w + 1)],
-        key=lambda l: (l.value, l.pointed),
-    )
-    total = len(alphabet)
-    picked: list[ColoredLetter] = []
-    used = [False] * total
-
-    def rec() -> Iterator[ColoredWord]:
-        if len(picked) == total:
-            yield ColoredWord(tuple(picked), h, w)
-            return
-        last_slot = len(picked) == total - 1
-        for idx, letter in enumerate(alphabet):
-            if used[idx]:
-                continue
-            if last_slot and not letter.pointed:
-                continue
-            if picked and picked[-1].pointed == letter.pointed and picked[-1].value >= letter.value:
-                continue
-            used[idx] = True
-            picked.append(letter)
-            yield from rec()
-            picked.pop()
-            used[idx] = False
-
-    yield from rec()
-
-
+# The valid words on the (h, w) alphabet are ordered lexicographically by
+# letter keys (value first, unpointed before pointed); `_word_rank` and
+# `_word_unrank` count positions in that order without listing the words.
+#
 # Counting words by their state. After a letter, what a valid word may still
 # do depends on a (pointed letters left), b (unpointed letters left), the
 # kind of the last letter, and m, how many letters of that kind left are
@@ -339,7 +308,7 @@ def _word_counts(h: int, w: int) -> list:
 
 
 def count_colored_words(h: int, w: int) -> int:
-    """How many words `enumerate_colored_words(h, w)` yields."""
+    """How many valid words the (h, w) alphabet has."""
     if h < 0 or w < 0:
         raise ValueError("bad alphabet")
     pointed = _word_counts(h, w)[h + 1][w][0]
@@ -347,8 +316,8 @@ def count_colored_words(h: int, w: int) -> int:
 
 
 def _word_rank(h: int, w: int, letters: tuple[ColoredLetter, ...]) -> int:
-    """The position of the letters of a word on the (h, w) alphabet among
-    `enumerate_colored_words(h, w)`, counted from 0: at each letter, the
+    """The position of the letters of a word among the valid words on the
+    (h, w) alphabet in letter-key order, counted from 0: at each letter, the
     valid words that agree with it before that letter and have an earlier
     letter there. Raises ValueError for an invalid word."""
     table = _word_counts(h, w)
@@ -380,8 +349,8 @@ def _word_rank(h: int, w: int, letters: tuple[ColoredLetter, ...]) -> int:
 
 
 def _word_unrank(h: int, w: int, index: int) -> tuple[ColoredLetter, ...]:
-    """The letters of the word at position `index` of
-    `enumerate_colored_words(h, w)`; ValueError when there is none."""
+    """The letters of the valid word at position `index` in letter-key
+    order, counted from 0; ValueError when there is none."""
     if not 0 <= index < count_colored_words(h, w):
         raise ValueError(f"no colored word at index {index}")
     table = _word_counts(h, w)
@@ -433,10 +402,6 @@ class CycleForm:
             if cyc[0] <= prev:
                 raise ValueError("cycle maxima must increase")
             prev = cyc[0]
-
-    @property
-    def size(self) -> int:
-        return sum(map(len, self.cycles))
 
     def text(self) -> str:
         return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in self.cycles)
@@ -761,8 +726,10 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
     A side piece of size k with d first-row (left) or first-column (right)
     dots becomes the permutation of k with d cycles of the same rank
     (`_piece_rank`, `_perm_unrank`). The tree becomes the colored word
-    whose rank among `enumerate_colored_words` equals the rank of the
-    tree's transpose among `enumerate_nat` of its grid (`filling_rank`,
+    whose rank among the valid words of its alphabet, ordered
+    lexicographically by letter key (value first, unpointed before
+    pointed) as `_word_unrank` walks them, equals the rank of the tree's
+    transpose among `enumerate_nat` of its grid (`filling_rank`,
     `_word_unrank`). Every rank is counted from completion counts, so no
     tableau, permutation or grid is listed.
 

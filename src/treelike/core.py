@@ -23,14 +23,6 @@ SOUTH = "S"
 WEST = "W"
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class Cell(NamedTuple):
     """A cell addressed by (row label, column label)."""
 
@@ -102,10 +94,6 @@ class BorderPath:
         if not isinstance(self.steps, str):
             raise ValueError("steps must be a string")
         self.__dict__.update(_path_shape(self.steps))
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
 
     @property
     def num_rows(self) -> int:
@@ -189,20 +177,6 @@ class TreeLikeTableau:
     def is_degenerate(self) -> bool:
         return self.size == 0
 
-    @property
-    def dots(self) -> frozenset[Cell]:
-        out = []
-        cols_desc = sorted(self.path.col_labels, reverse=True)
-        for r, mask in enumerate(self.rows):
-            row_label = self.path.row_labels[r]
-            out.extend(Cell(row_label, cols_desc[c]) for c in _bits(mask))
-        return frozenset(out)
-
-
-# the two size-0 tableaux used by corner cutting
-EMPTY_ROW_TABLEAU = TreeLikeTableau(BorderPath(SOUTH), (0,))
-EMPTY_COL_TABLEAU = TreeLikeTableau(BorderPath(WEST), ())
-
 
 @dataclass(frozen=True)
 class PermutationTableau:
@@ -236,10 +210,6 @@ class PermutationTableau:
             above |= mask
         if above != (1 << width) - 1:
             raise ValueError("some column has no 1")
-
-    @property
-    def size(self) -> int:
-        return self.path.length
 
 
 @dataclass(frozen=True)
@@ -521,12 +491,6 @@ def _tlt_completions(
                 n += after[filled][0]
             here[key] = (n, n_empty, empty, filled)
     return moves, table
-
-
-def filling_count(lengths: tuple[int, ...], width: int, dots: tuple | None = None) -> int:
-    """How many fillings `tlt_fillings(lengths, width)` yields; with `dots`
-    = (stat, d), how many of them have stat d (see `_tlt_completions`)."""
-    return _tlt_completions(lengths, width, dots)[1][0][0][0]
 
 
 def filling_rank(

@@ -117,13 +117,6 @@ def formula_bi(n: int, i: int) -> int:
     return (i - 1) * f + (n - i) * f + (n - i) * (i - 1) * f
 
 
-def displacement_formula(n: int) -> int:
-    """Total displacement over all permutations of [n]."""
-    if n < 1:
-        raise ValueError("size must be positive")
-    return factorial(n - 1) * comb(n + 1, 3)
-
-
 @lru_cache(maxsize=64)
 def stirling_row(n: int) -> dict[int, int]:
     """Unsigned Stirling numbers of the first kind, c(n, k) for k = 1..n."""

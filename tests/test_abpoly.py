@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import corners_closed_form
 from treelike.abpoly import (
     A,
     B,
@@ -15,7 +16,6 @@ from treelike.abpoly import (
     class_closed_form,
     conjecture_noc_ab,
     corners_ab,
-    corners_closed_form,
     euler_derivative_at_1,
     euler_derivative_closed_form,
     euler_oracle,

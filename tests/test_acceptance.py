@@ -11,6 +11,7 @@ from math import comb, factorial
 
 import pytest
 
+from oracles import corners_closed_form, displacement_formula
 from treelike import abpoly, bijections, counting
 from treelike.bijections import (
     MarkedRun,
@@ -213,7 +214,7 @@ def test_c09_weight_identities():
 def test_c10_nonoccupied_weight_conjecture():
     for n in range(3, 10):
         assert abpoly.noc_ab(n) == abpoly.conjecture_noc_ab(n)
-        assert abpoly.corners_ab(n) == abpoly.corners_closed_form(n)
+        assert abpoly.corners_ab(n) == corners_closed_form(n)
     print("criterion 10 ok: the non-occupied weight closed form holds exactly for n<=9")
 
 
@@ -238,9 +239,9 @@ def test_c11_expected_jumps():
 def test_c12_displacement_matches_nonoccupied():
     for n in range(1, 9):
         s = perm_survey(n)
-        assert s.displacement_total == counting.displacement_formula(n)
+        assert s.displacement_total == displacement_formula(n)
         assert s.displacement_total == counting.noc_count(n + 1)
-        assert counting.displacement_formula(n) == factorial(n - 1) * comb(n + 1, 3)
+        assert displacement_formula(n) == factorial(n - 1) * comb(n + 1, 3)
     observed = ", ".join(
         f"n={n}: dd={perm_survey(n).interior_dd_total} exc={perm_survey(n).excedance_total}"
         for n in range(3, 7)

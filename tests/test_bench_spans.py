@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-BINDINGS = 46
+BINDINGS = 45
 
 
 def test_span_bindings_install(monkeypatch):

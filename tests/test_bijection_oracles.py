@@ -13,10 +13,9 @@ from itertools import product
 
 import pytest
 
+from oracles import EMPTY_COL_TABLEAU, EMPTY_ROW_TABLEAU, bits
 from treelike.bijections import cut_at_corner, glue, pt_to_tlt, tlt_to_pt
 from treelike.core import (
-    EMPTY_COL_TABLEAU,
-    EMPTY_ROW_TABLEAU,
     SOUTH,
     WEST,
     BorderPath,
@@ -24,7 +23,6 @@ from treelike.core import (
     NonAmbiguousTree,
     PermutationTableau,
     TreeLikeTableau,
-    _bits,
     enumerate_nat,
     enumerate_pt,
     enumerate_tlt,
@@ -41,7 +39,7 @@ def _top_rows(rows, width):
     top = [-1] * width
     seen = 0
     for r, mask in enumerate(rows):
-        for c in _bits(mask & ~seen):
+        for c in bits(mask & ~seen):
             top[c] = r
         seen |= mask
     return top
@@ -50,7 +48,7 @@ def _top_rows(rows, width):
 def _move_bits(mask, positions):
     # move bit c of the mask to bit positions[c]
     out = 0
-    for c in _bits(mask):
+    for c in bits(mask):
         out |= 1 << positions[c]
     return out
 
@@ -130,7 +128,7 @@ def oracle_cut_at_corner(t, corner):
         t_r = TreeLikeTableau(BorderPath(steps[: i - 1] + WEST), rows_r)
 
     kept_rows = [r for r in range(r_c) if m_rows[r]]
-    kept_cols = list(_bits(col_union))
+    kept_cols = list(bits(col_union))
     col_pos = {c: j for j, c in enumerate(kept_cols)}
     nat_rows = [_move_bits(m_rows[r], col_pos) for r in kept_rows]
     nat_path = BorderPath(SOUTH * len(kept_rows) + WEST * len(kept_cols))
@@ -161,7 +159,7 @@ def oracle_glue(t_l, t_r, nat):
 
     designated_rows = [r for r in range(len(t_r.rows)) if t_r.rows[r] & 1]
     designated_rows.append(r_c - 1)
-    designated_cols = list(_bits(t_l.rows[0])) if t_l.rows else []
+    designated_cols = list(bits(t_l.rows[0])) if t_l.rows else []
     designated_cols.append(w_l)
 
     row_m = {

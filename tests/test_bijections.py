@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import EMPTY_COL_TABLEAU, EMPTY_ROW_TABLEAU, enumerate_colored_words
 from treelike.bijections import (
     ColoredLetter,
     ColoredWord,
@@ -20,7 +21,6 @@ from treelike.bijections import (
     corner_transfer_delta,
     count_colored_words,
     cut_at_corner,
-    enumerate_colored_words,
     glue,
     m_star,
     parse_colored_word,
@@ -32,8 +32,6 @@ from treelike.bijections import (
     triplet_to_run,
 )
 from treelike.core import (
-    EMPTY_COL_TABLEAU,
-    EMPTY_ROW_TABLEAU,
     Cell,
     NonAmbiguousTree,
     TreeLikeTableau,
@@ -186,7 +184,7 @@ class TestCycleForm:
         s = "(6)(7 5 2 3)(9 1 8 4)"
         cf = parse_cycle_form(s)
         assert cf.text() == s
-        assert cf.size == 9
+        assert sum(map(len, cf.cycles)) == 9
 
     def test_empty(self):
         cf = parse_cycle_form("")

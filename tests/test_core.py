@@ -5,9 +5,8 @@ from itertools import product
 
 import pytest
 
+from oracles import EMPTY_COL_TABLEAU, EMPTY_ROW_TABLEAU, dot_cells
 from treelike.core import (
-    EMPTY_COL_TABLEAU,
-    EMPTY_ROW_TABLEAU,
     BorderPath,
     Cell,
     NonAmbiguousTree,
@@ -117,9 +116,9 @@ class TestTreeLikeValidation:
     def test_dots_have_exactly_size_many(self):
         for n in range(1, 6):
             for t in enumerate_tlt(n):
-                assert len(t.dots) == n
+                assert len(dot_cells(t)) == n
                 assert t.size == n
-                assert t.path.length == n + 1
+                assert len(t.path.steps) == n + 1
 
 
 class TestPermutationTableauValidation:
@@ -137,7 +136,7 @@ class TestPermutationTableauValidation:
     def test_empty_rows_allowed(self):
         p = BorderPath("SS")
         pt = PermutationTableau(p, (0, 0))
-        assert pt.size == 2
+        assert len(pt.path.steps) == 2
 
     def test_first_step_south(self):
         with pytest.raises(ValueError, match="South"):
@@ -299,8 +298,9 @@ class TestSerialization:
         t = parse_tlt(SIZE8_TEXT)
         assert t.size == 8
         assert to_text(t) == SIZE8_TEXT
-        assert Cell(1, 9) in t.dots and Cell(4, 6) in t.dots
-        assert Cell(1, 7) not in t.dots
+        dots = dot_cells(t)
+        assert Cell(1, 9) in dots and Cell(4, 6) in dots
+        assert Cell(1, 7) not in dots
 
     def test_pt_with_trailing_empty_row(self):
         # the last row has length zero, so the text form ends with an
@@ -370,26 +370,18 @@ def test_every_cache_is_bounded():
     assert {name: size for name, size in cached.items() if size is None} == {}
 
 
-# functions that only tests call, kept on purpose
-ORPHANS_ALLOWED = {
-    "enumerate_colored_words": "the word order that _word_rank and _word_unrank count; their oracle",
-    "filling_count": "oracle for the completion tables that rank and unrank walk",
-    "displacement_formula": "the paper's closed form, checked only by an acceptance test",
-    "corners_closed_form": "the paper's closed form, checked only by acceptance tests",
-    "TreeLikeTableau.dots": "the dots as labelled cells, a view of an exported class that only tests read",
-}
-
-
 def _orphans(sources: dict, exported=()) -> set:
-    """The functions and methods of `sources` ({path: code}) that no code
-    names outside their own body (prose in a docstring does not count) and
-    that are not exported. A method is named `Class.method`.
+    """The functions, methods and module constants of `sources` ({path:
+    code}) that no code names outside their own body or assignment (prose
+    in a docstring does not count) and that are not exported. A method is
+    named `Class.method`; a module constant is a name bound by an
+    assignment at the top level of a module.
 
     Where the receiver's class is known the use is resolved: `self.x` or
     `cls.x` inside a class, and `C.x` for a class C of the sources, count
     only for that class's method x. Any other attribute `obj.x` counts for
-    every method and function named x, and a bare name `x` for every
-    function named x."""
+    every method, function and constant named x, and a bare name `x` for
+    every function and constant named x. Binding a name is not a use."""
     import ast
 
     trees = {path: ast.parse(code) for path, code in sources.items()}
@@ -400,6 +392,16 @@ def _orphans(sources: dict, exported=()) -> set:
         if isinstance(node, ast.ClassDef)
     }
     defs = []  # (class or None, name, file, first line, last line)
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defs.extend(
+                    (None, node.id, path, stmt.lineno, stmt.end_lineno)
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name)
+                )
     uses = []  # (class, None when unknown, or "" for a bare name; name, file, line)
 
     def visit(node, path, cls, in_class_body):
@@ -410,7 +412,7 @@ def _orphans(sources: dict, exported=()) -> set:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner = cls if in_class_body else None
                 defs.append((owner, child.name, path, child.lineno, child.end_lineno))
-            elif isinstance(child, ast.Name):
+            elif isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
                 uses.append(("", child.id, path, child.lineno))
             elif isinstance(child, ast.Attribute):
                 owner = None
@@ -446,8 +448,8 @@ def _orphans(sources: dict, exported=()) -> set:
 
 
 def test_every_function_has_a_caller():
-    # each function or method of the package is named in code somewhere in
-    # src/, or is exported, or is allowed above
+    # each function, method or module constant of the package is named in
+    # code somewhere in src/, or is exported
     from pathlib import Path
 
     import treelike
@@ -455,13 +457,14 @@ def test_every_function_has_a_caller():
     sources = {
         path: path.read_text() for path in sorted(Path(treelike.__file__).parent.glob("*.py"))
     }
-    assert _orphans(sources, treelike.__all__) == set(ORPHANS_ALLOWED)
+    assert _orphans(sources, treelike.__all__) == set()
 
 
 def test_caller_guard_resolves_the_receiver():
     # A.text is never called: B's call goes through self, and C's through
     # the class, so neither counts for A; a read of `.size` on an unknown
-    # receiver still counts for every method named size
+    # receiver still counts for every method named size. Of the constants
+    # in k.py, main reads LIMIT; SPARE is only bound, so it has no reader
     code = """
 class A:
     def text(self):
@@ -483,6 +486,11 @@ class C:
         return 4
 
 def main(obj):
-    return B().show() + C.text() + obj.size()
+    return B().show() + C.text() + obj.size() + LIMIT
+"""
+    constants = """
+LIMIT = 5
+SPARE: int = LIMIT + 1
 """
     assert _orphans({"m.py": code}) == {"A.text", "main"}
+    assert _orphans({"m.py": code, "k.py": constants}) == {"A.text", "main", "SPARE"}

@@ -14,6 +14,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import filling_count
 from treelike.core import (
     _EMPTY,
     _FILLED,
@@ -29,7 +30,6 @@ from treelike.core import (
     _pt_paths,
     _tlt_paths,
     enumerate_nat,
-    filling_count,
     filling_rank,
     filling_unrank,
     first_col_points,

@@ -7,9 +7,8 @@ import sys
 
 import pytest
 
-from test_survey_oracles import ascent_values, cycle_count, displacement
+from oracles import ascent_values, cycle_count, displacement, displacement_formula
 from treelike.counting import (
-    displacement_formula,
     exact_div,
     formula_bi,
     noc_count,

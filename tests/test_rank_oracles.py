@@ -22,6 +22,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    EMPTY_COL_TABLEAU,
+    EMPTY_ROW_TABLEAU,
+    cycle_count,
+    enumerate_colored_words,
+    filling_count,
+)
 from treelike.bijections import (
     ColoredWord,
     CycleForm,
@@ -39,7 +46,6 @@ from treelike.bijections import (
     corner_to_run,
     count_colored_words,
     cut_at_corner,
-    enumerate_colored_words,
     glue,
     parse_colored_word,
     pt_to_tlt,
@@ -49,8 +55,6 @@ from treelike.bijections import (
     triplet_to_run,
 )
 from treelike.core import (
-    EMPTY_COL_TABLEAU,
-    EMPTY_ROW_TABLEAU,
     SOUTH,
     WEST,
     BorderPath,
@@ -59,7 +63,6 @@ from treelike.core import (
     _tlt_paths,
     enumerate_nat,
     enumerate_tlt,
-    filling_count,
     filling_rank,
     filling_unrank,
     first_col_points,
@@ -70,7 +73,6 @@ from treelike.core import (
     tlt_fillings,
     transpose,
 )
-from test_survey_oracles import cycle_count
 from treelike.counting import stirling_row
 
 # ---------------------------------------------------------------------------
@@ -137,13 +139,15 @@ def table_corner_to_run(t, corner):
 def table_run_to_corner(mr):
     l_cycles, r_cycles, m = run_to_triplet(mr)
 
-    buckets_l, _ = _tlts_by(first_row_points, l_cycles.size)
-    _, perm_ranks_l = _perms_by_cycles(l_cycles.size)
-    t_l = buckets_l[m.h][perm_ranks_l[_permutation(l_cycles.cycles)]]
+    p_l = _permutation(l_cycles.cycles)
+    buckets_l, _ = _tlts_by(first_row_points, len(p_l))
+    _, perm_ranks_l = _perms_by_cycles(len(p_l))
+    t_l = buckets_l[m.h][perm_ranks_l[p_l]]
 
-    buckets_r, _ = _tlts_by(first_col_points, r_cycles.size)
-    _, perm_ranks_r = _perms_by_cycles(r_cycles.size)
-    t_r = buckets_r[m.w][perm_ranks_r[_permutation(r_cycles.cycles)]]
+    p_r = _permutation(r_cycles.cycles)
+    buckets_r, _ = _tlts_by(first_col_points, len(p_r))
+    _, perm_ranks_r = _perms_by_cycles(len(p_r))
+    t_r = buckets_r[m.w][perm_ranks_r[p_r]]
 
     grid, ranks = table_grid(m.h, m.w)
     nat = NonAmbiguousTree(transpose(grid[NonAmbiguousTree][ranks[m]].tableau))

@@ -17,6 +17,7 @@ from operator import add
 
 import pytest
 
+from oracles import ascent_values, bits, cycle_count, displacement
 from treelike.core import (
     _EMPTY,
     _FILLED,
@@ -24,7 +25,6 @@ from treelike.core import (
     NOC_CLASSES,
     SOUTH,
     BorderPath,
-    _bits,
     _cell_moves,
     _noc_class_at,
     _pt_paths,
@@ -52,37 +52,6 @@ from treelike.counting import (
 
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def ascent_values(p: tuple[int, ...]) -> set[int]:
-    """Values whose right neighbour is larger, with a virtual n+1 after
-    the last letter."""
-    n = len(p)
-    out = set()
-    for j, v in enumerate(p):
-        nxt = p[j + 1] if j + 1 < n else n + 1
-        if nxt > v:
-            out.add(v)
-    return out
-
-
-def cycle_count(p: tuple[int, ...]) -> int:
-    n = len(p)
-    seen = [False] * (n + 1)
-    cnt = 0
-    for s in range(1, n + 1):
-        if seen[s]:
-            continue
-        cnt += 1
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            j = p[j - 1]
-    return cnt
-
-
-def displacement(p: tuple[int, ...]) -> int:
-    return sum(max(v - j, 0) for j, v in enumerate(p, start=1))
 
 
 def sweep_perm_survey(n):
@@ -154,7 +123,7 @@ def fused_perm_survey(n):
             last_is_n += 1
     bi_counts = {i: 0 for i in range(1, n)}
     for mask, cnt in by_bi.items():
-        for v in _bits(mask):
+        for v in bits(mask):
             bi_counts[v + 1] += cnt
     survey = PermSurvey(
         n,
