@@ -47,6 +47,24 @@ def _enumerate_cases():
                 argv = ["enumerate", "--object", "nat", "--height", str(h),
                         "--width", str(w), "--format", fmt]
                 cases[" ".join(argv)] = (argv, "")
+    # rows longer than the renderer's 8-cell table: up to 13 cells
+    for h, w in ((1, 8), (0, 12)):
+        for fmt in ("text", "json"):
+            argv = ["enumerate", "--object", "nat", "--height", str(h),
+                    "--width", str(w), "--format", fmt]
+            cases[" ".join(argv)] = (argv, "")
+    for obj in ("tlt", "pt"):
+        argv = ["enumerate", "--object", obj, "--size", "8", "--format", "text"]
+        cases[" ".join(argv)] = (argv, "")
+    return cases
+
+
+def _enumerate_slow_cases():
+    # every 8-cell row at size 9; about 4.5 s each
+    cases = {}
+    for obj in ("tlt", "pt"):
+        argv = ["enumerate", "--object", obj, "--size", "9", "--format", "text"]
+        cases[" ".join(argv)] = (argv, "")
     return cases
 
 
@@ -77,6 +95,7 @@ def _biject_cases():
 
 GROUPS = {
     "enumerate": _enumerate_cases,
+    "enumerate-slow": _enumerate_slow_cases,
     "verify": _verify_cases,
     "biject": _biject_cases,
 }
@@ -112,7 +131,13 @@ def _load(group: str) -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("group", sorted(GROUPS))
+SLOW_GROUPS = {"enumerate-slow"}
+
+
+@pytest.mark.parametrize(
+    "group",
+    [pytest.param(g, marks=pytest.mark.slow) if g in SLOW_GROUPS else g for g in sorted(GROUPS)],
+)
 def test_golden(group):
     golden = _load(group)
     cases = GROUPS[group]()
