@@ -17,6 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import rshift
 from typing import Iterator, NamedTuple
 
 SOUTH = "S"
@@ -68,6 +69,7 @@ def _path_shape(steps: str) -> dict:
         "row_lengths": lengths,
         "corner_cells": corners,
         "corner_grid_positions": tuple(positions),
+        "col_mask": (1 << len(cols)) - 1,
     }
 
 
@@ -85,7 +87,8 @@ class BorderPath:
       above i;
     - `corner_cells`: the corners as (row label, column label);
     - `corner_grid_positions`: the corners as (row index, column index);
-      each is the last cell of its row.
+      each is the last cell of its row;
+    - `col_mask`: one bit per column, `(1 << num_cols) - 1`.
     """
 
     steps: str
@@ -119,20 +122,23 @@ class TreeLikeTableau:
     single empty row (path "S") and a single empty column (path "W").
     The constructor stores `size`, the number of dots, as a plain attribute
     that is not a field, so equality, hashing and repr see path and rows only.
+    It comes from the path, not from the rows: a valid tableau of n steps
+    holds n - 1 dots.
     """
 
     path: BorderPath
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        steps = self.path.steps
+        path, rows = self.path, self.rows
+        steps = path.steps
         if steps == SOUTH:
-            if self.rows != (0,):
+            if rows != (0,):
                 raise ValueError("single-row degenerate tableau must be empty")
             self.__dict__["size"] = 0
             return
         if steps == WEST:
-            if self.rows != ():
+            if rows != ():
                 raise ValueError("single-column degenerate tableau must be empty")
             self.__dict__["size"] = 0
             return
@@ -140,38 +146,36 @@ class TreeLikeTableau:
             raise ValueError("first step must be South")
         if steps[-1] != WEST:
             raise ValueError("last step must be West")
-        lengths = self.path.row_lengths
-        if len(self.rows) != len(lengths):
+        lengths = path.row_lengths
+        if len(rows) != len(lengths):
             raise ValueError("row count does not match path")
-        for mask, lam in zip(self.rows, lengths):
-            if mask < 0 or mask >> lam:
-                raise ValueError("dot outside its row")
-        if not self.rows or not (self.rows[0] & 1):
+        # a negative mask shifts to -1, so one pass finds it too
+        if any(map(rshift, rows, lengths)):
+            raise ValueError("dot outside its row")
+        above = rows[0]
+        if not above & 1:
             raise ValueError("top-left root cell must be dotted")
-        width = self.path.num_cols
-        above = 0
-        for r, mask in enumerate(self.rows):
-            if mask == 0:
-                raise ValueError(f"row {r + 1} has no dot")
-            # a dot needs exactly one parent: every dot but the row's first
-            # has one to its left, so the first needs a dot above it and the
-            # others must not have one
-            with_left = mask ^ (mask & -mask)
-            bad = mask & ~(with_left ^ (mask & above))
-            if r == 0:
-                bad &= ~1  # the root needs no parent
-            if bad:
-                low = bad & -bad
-                where = "both a left and an above dot" if with_left & low else "no parent dot"
+        # a dot needs exactly one parent: every dot but the row's first has
+        # one to its left, so the first needs a dot above it and the others
+        # must not have one. Row 0 passes once its root is dotted.
+        for r in range(1, len(rows)):
+            mask = rows[r]
+            low = mask & -mask
+            if not low & above or (mask ^ low) & above:
+                if not mask:
+                    raise ValueError(f"row {r + 1} has no dot")
+                if low & above:
+                    bad, where = (mask ^ low) & above, "both a left and an above dot"
+                else:
+                    bad, where = low, "no parent dot"
                 raise ValueError(
-                    f"cell at row {r + 1}, column index {low.bit_length() - 1} has {where}"
+                    f"cell at row {r + 1}, column index {(bad & -bad).bit_length() - 1} has {where}"
                 )
             above |= mask
-        if above != (1 << width) - 1:
+        if above != path.col_mask:
             raise ValueError("some column has no dot")
-        # one parent per dot and full coverage leave rows + columns - 1 dots,
-        # so the size needs no check
-        self.__dict__["size"] = sum(map(int.bit_count, self.rows))
+        # one parent per dot and full coverage leave rows + columns - 1 dots
+        self.__dict__["size"] = len(steps) - 1
 
     @property
     def is_degenerate(self) -> bool:
@@ -187,18 +191,16 @@ class PermutationTableau:
     rows: tuple[int, ...]  # bitmask of the 1s per row
 
     def __post_init__(self):
-        steps = self.path.steps
-        if steps[0] != SOUTH:
+        path, rows = self.path, self.rows
+        if path.steps[0] != SOUTH:
             raise ValueError("first step must be South")
-        lengths = self.path.row_lengths
-        if len(self.rows) != len(lengths):
+        lengths = path.row_lengths
+        if len(rows) != len(lengths):
             raise ValueError("row count does not match path")
-        for mask, lam in zip(self.rows, lengths):
-            if mask < 0 or mask >> lam:
-                raise ValueError("1 outside its row")
-        width = self.path.num_cols
+        if any(map(rshift, rows, lengths)):  # a negative mask shifts to -1
+            raise ValueError("1 outside its row")
         above = 0
-        for r, (mask, lam) in enumerate(zip(self.rows, lengths)):
+        for r, (mask, lam) in enumerate(zip(rows, lengths)):
             # the 0-cells of the row that have a 1 above them and lie right
             # of the row's first 1
             bad = above & ~mask & -((mask & -mask) << 1) & ((1 << lam) - 1)
@@ -208,7 +210,7 @@ class PermutationTableau:
                     f"cell at row {r + 1}, column index {c} is 0 with a 1 above and a 1 to its left"
                 )
             above |= mask
-        if above != (1 << width) - 1:
+        if above != path.col_mask:
             raise ValueError("some column has no 1")
 
 
@@ -707,18 +709,22 @@ def enumerate_nat(h: int, w: int) -> Iterator[NonAmbiguousTree]:
 # serialization
 
 _CHARS = {TreeLikeTableau: ".o", PermutationTableau: "01"}
-# binary digits to cell characters, one table per family
-_ROW_TABLES = {cls: str.maketrans("01", chars) for cls, chars in _CHARS.items()}
+# per family, the 8 cells of every byte-sized row mask, cell 0 first
+_ROW_TABLES = {
+    cls: tuple("".join(chars[m >> c & 1] for c in range(8)) for m in range(256))
+    for cls, chars in _CHARS.items()
+}
 
 
 def _path_and_lines(obj) -> tuple[str, list[str]]:
     if isinstance(obj, NonAmbiguousTree):
         obj = obj.tableau
     table = _ROW_TABLES[type(obj)]
-    # a sentinel bit just past the row keeps its empty right-hand cells;
-    # reversing the binary digits and dropping "0b1" puts cell 0 first
+    # a longer row joins its 8-cell chunks
     lines = [
-        bin(mask | 1 << lam)[:2:-1].translate(table)
+        table[mask][:lam]
+        if lam <= 8
+        else "".join([table[mask >> c & 255] for c in range(0, lam, 8)])[:lam]
         for mask, lam in zip(obj.rows, obj.path.row_lengths)
     ]
     return obj.path.steps, lines

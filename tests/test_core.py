@@ -378,10 +378,12 @@ def _orphans(sources: dict, exported=()) -> set:
     assignment at the top level of a module.
 
     Where the receiver's class is known the use is resolved: `self.x` or
-    `cls.x` inside a class, and `C.x` for a class C of the sources, count
-    only for that class's method x. Any other attribute `obj.x` counts for
-    every method, function and constant named x, and a bare name `x` for
-    every function and constant named x. Binding a name is not a use."""
+    `cls.x` inside a class, `C.x` for a class C of the sources, `t.x` in a
+    function with the parameter `t: C`, and `r.f.x` where r resolves to a
+    class whose body annotates the field `f: C`, count only for C's method
+    x. Any other attribute `obj.x` counts for every method, function and
+    constant named x, and a bare name `x` for every function and constant
+    named x. Binding a name is not a use."""
     import ast
 
     trees = {path: ast.parse(code) for path, code in sources.items()}
@@ -404,29 +406,52 @@ def _orphans(sources: dict, exported=()) -> set:
                 )
     uses = []  # (class, None when unknown, or "" for a bare name; name, file, line)
 
-    def visit(node, path, cls, in_class_body):
+    def annotated(node):
+        # the class of the sources an annotation names, else None
+        name = node.value if isinstance(node, ast.Constant) else getattr(node, "id", None)
+        return name if name in classes else None
+
+    fields = {  # (class, field name): the class the field is annotated with
+        (node.name, stmt.target.id): annotated(stmt.annotation)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+    def resolve(expr, cls, env):
+        # the class of the sources the receiver expression holds, else None
+        if isinstance(expr, ast.Name):
+            return cls if expr.id in ("self", "cls") else env.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            return fields.get((resolve(expr.value, cls, env), expr.attr))
+        return None
+
+    def visit(node, path, cls, in_class_body, env):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, path, child.name, True)
+                visit(child, path, child.name, True, env)
                 continue
+            inner = env
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner = cls if in_class_body else None
                 defs.append((owner, child.name, path, child.lineno, child.end_lineno))
+                # a parameter holds its annotated class, or shadows a name
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                inner = dict(env)
+                for arg in filter(None, params):
+                    inner[arg.arg] = arg.annotation and annotated(arg.annotation)
             elif isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
                 uses.append(("", child.id, path, child.lineno))
             elif isinstance(child, ast.Attribute):
-                owner = None
-                if isinstance(child.value, ast.Name):
-                    receiver = child.value.id
-                    if receiver in ("self", "cls") and cls is not None:
-                        owner = cls
-                    elif receiver in classes:
-                        owner = receiver
+                owner = resolve(child.value, cls, env)
                 uses.append((owner, child.attr, path, child.lineno))
-            visit(child, path, cls, False)
+            visit(child, path, cls, False, inner)
 
     for path, tree in trees.items():
-        visit(tree, path, None, False)
+        visit(tree, path, None, False, {c: c for c in classes})
 
     def named(owner, name, path, first, last):
         for u_owner, u_name, p, line in uses:
@@ -494,3 +519,25 @@ SPARE: int = LIMIT + 1
 """
     assert _orphans({"m.py": code}) == {"A.text", "main"}
     assert _orphans({"m.py": code, "k.py": constants}) == {"A.text", "main", "SPARE"}
+    # an annotated parameter and an annotated field resolve their reads:
+    # `t.length()` counts for Tableau alone and `t.path.length()` for Path
+    # alone, so Grid.length has no reader
+    typed = """
+class Path:
+    def length(self):
+        return 1
+
+class Grid:
+    def length(self):
+        return 2
+
+class Tableau:
+    path: Path
+
+    def length(self):
+        return 3
+
+def total(t: Tableau):
+    return t.path.length() + t.length()
+"""
+    assert _orphans({"t.py": typed}) == {"Grid.length", "total"}

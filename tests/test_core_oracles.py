@@ -1,13 +1,14 @@
 """The bit-level core against the per-cell code it replaced.
 
 The filling engine is an explicit-stack loop, the constructors validate a
-row at a time with mask arithmetic, and rows are rendered from their binary
-digits. The reference versions below are the earlier recursive engine and
-per-dot / per-cell loops, kept here unchanged as oracles: the fast code must
-yield the same sequences, accept and reject exactly the same inputs with
-the same first error, and write the same text.
+row at a time with mask arithmetic, and rows are rendered from a table of
+8-cell strings. The reference versions below are the earlier recursive
+engine and per-dot / per-cell loops, kept here unchanged as oracles: the
+fast code must yield the same sequences, accept and reject exactly the same
+inputs with the same first error, and write the same text.
 """
 
+import json
 from collections import Counter
 from itertools import product
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import filling_count
+from treelike.bijections import pt_to_tlt
 from treelike.core import (
     _EMPTY,
     _FILLED,
@@ -38,6 +40,7 @@ from treelike.core import (
     pt_fillings,
     tlt_filling_tallies,
     tlt_fillings,
+    to_json,
     to_text,
 )
 
@@ -271,8 +274,8 @@ def test_constructors_match_oracles_on_every_in_row_filling():
 
 
 @st.composite
-def path_and_rows(draw):
-    steps = draw(st.text(SOUTH + WEST, min_size=1, max_size=7))
+def path_and_rows(draw, min_size=1, max_size=7):
+    steps = draw(st.text(SOUTH + WEST, min_size=min_size, max_size=max_size))
     lengths = BorderPath(steps).row_lengths
     rows = [draw(st.integers(-1, (2 << lam) - 1)) for lam in lengths]
     if draw(st.integers(0, 9)) == 0:  # now and then a wrong row count
@@ -287,6 +290,62 @@ def test_constructors_match_oracles_on_random_masks(case):
     p = BorderPath(steps)
     for cls, oracle in CASES:
         assert error_of(cls, p, rows) == error_of(oracle, p, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(path_and_rows(min_size=8, max_size=16))
+def test_constructors_match_oracles_on_long_random_masks(case):
+    steps, rows = case
+    p = BorderPath(steps)
+    for cls, oracle in CASES:
+        assert error_of(cls, p, rows) == error_of(oracle, p, rows)
+
+
+@st.composite
+def long_row_tableaux(draw):
+    """A permutation tableau of length 10-16 with a row of 9-15 cells, and
+    the tree-like tableau `pt_to_tlt` makes of it, with a row of 10-16.
+    Arbitrary row masks are repaired into a valid filling: a column no
+    lower row covers gets a 1 in row 0, and each row then gets a 1 in every
+    cell right of its first 1 that has a 1 above it."""
+    cols = draw(st.integers(9, 15))
+    tail = draw(st.permutations(WEST * cols + SOUTH * draw(st.integers(0, 15 - cols))))
+    path = BorderPath(SOUTH + "".join(tail))
+    lengths = path.row_lengths
+    rows = [draw(st.integers(0, (1 << lam) - 1)) for lam in lengths]
+    lower = 0
+    for mask in rows[1:]:
+        lower |= mask
+    rows[0] |= path.col_mask & ~lower
+    above = 0
+    for r, lam in enumerate(lengths):
+        mask = rows[r]
+        rows[r] = mask = mask | above & -((mask & -mask) << 1) & ((1 << lam) - 1)
+        above |= mask
+    pt = PermutationTableau(path, tuple(rows))
+    return pt, pt_to_tlt(pt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_row_tableaux(), st.data())
+def test_long_rows_match_oracles(objs, data):
+    # rows longer than the renderer's 8-cell table, and the first error of
+    # both constructors after one cell of a valid long filling is flipped
+    pt, t = objs
+    for obj, cls, oracle, (empty, full) in (
+        (pt, PermutationTableau, per_cell_pt_check, "01"),
+        (t, TreeLikeTableau, per_dot_tlt_check, ".o"),
+    ):
+        assert max(obj.path.row_lengths) > 8
+        assert error_of(oracle, obj.path, obj.rows) is None
+        text = per_cell_text(obj, empty, full)
+        assert to_text(obj) == text
+        assert json.loads(to_json(obj)) == {"path": obj.path.steps, "rows": text.split("\n")[1:]}
+        rows = list(obj.rows)
+        r = data.draw(st.integers(0, len(rows) - 1))
+        rows[r] ^= 1 << data.draw(st.integers(0, max(obj.path.row_lengths[r] - 1, 0)))
+        rows = tuple(rows)
+        assert error_of(cls, obj.path, rows) == error_of(oracle, obj.path, rows)
 
 
 def test_text_matches_per_cell_rendering():
