@@ -506,13 +506,11 @@ def filling_rank(
     moves, table = _tlt_completions(lengths, width, dots)
     if len(rows) != len(lengths):
         raise ValueError("row count does not match the shape")
-    stop = None  # the walk stops at the first row with a dot outside it
-    for r, (mask, lam) in enumerate(zip(rows, lengths)):
-        if mask < 0 or mask >> lam:
-            stop = sum(lengths[:r])
-            break
+    # a negative mask shifts to -1, so one pass finds it too
+    if any(map(rshift, rows, lengths)):
+        raise ValueError("dot outside its row")
     rank = key = 0
-    for (r, bit, _, _), here in zip(moves[:stop], table):
+    for (r, bit, _, _), here in zip(moves, table):
         _, n_empty, empty, filled = here[key]
         if rows[r] << 1 & bit:
             if filled is None:
@@ -527,8 +525,6 @@ def filling_rank(
             )
         else:
             key = empty
-    if stop is not None:
-        raise ValueError("dot outside its row")
     if not table[-1][key][0]:
         raise ValueError("some column has no dot")
     return rank

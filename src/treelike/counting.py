@@ -159,7 +159,6 @@ class PermSurvey:
     displacement_total: int = 0
     interior_dd_total: int = 0
     excedance_total: int = 0
-    last_is_n: int = 0
 
 
 @lru_cache(maxsize=64)
@@ -237,7 +236,6 @@ def perm_survey(n: int) -> PermSurvey:
         interior_dd_total=total >> 2 * lanes & lane,
         displacement_total=total >> 3 * lanes & lane,
         excedance_total=total >> 4 * lanes,
-        last_is_n=(up[last + n - 1] + down[last + n - 1]) & lane,
     )
 
 
@@ -308,14 +306,12 @@ class TltSurvey:
     corners_total: int = 0
     occupied_total: int = 0
     noc_total: int = 0
-    corner_pos: dict[int, int] = field(default_factory=dict)
     weight: dict[tuple[int, int], int] = field(default_factory=dict)
     occ_weight: dict[tuple[int, int], int] = field(default_factory=dict)
     noc_weight: dict[tuple[int, int], int] = field(default_factory=dict)
     class_weight: dict[str, dict[tuple[int, int], int]] = field(default_factory=dict)
     rows_weight: dict[tuple[int, int, int], int] = field(default_factory=dict)
     fc_dist: dict[int, int] = field(default_factory=dict)
-    fr_dist: dict[int, int] = field(default_factory=dict)
     transfer_delta_total: int = 0
 
 
@@ -353,15 +349,12 @@ def tlt_survey(n: int) -> TltSurvey:
         s.corners_total += ncor * count
         if steps[n - 1] == SOUTH:
             s.transfer_delta_total += count
-        for cell in path.corner_cells:
-            _add(s.corner_pos, cell.row, count)
     s.class_weight = {c: {} for c in NOC_CLASSES}
     for (k, fr, fc), (cnt, corners, *classes) in fine.items():
         key = (fr - 1, fc - 1)
         noc = sum(classes)
         _add(s.weight, key, cnt)
         _add(s.fc_dist, fc, cnt)
-        _add(s.fr_dist, fr, cnt)
         _add(s.rows_weight, (k,) + key, cnt)
         _add(s.occ_weight, key, corners - noc)
         _add(s.noc_weight, key, noc)
@@ -377,7 +370,6 @@ class PtSurvey:
     n: int
     count: int = 0
     corners_total: int = 0
-    corner_pos: dict[int, int] = field(default_factory=dict)
     last_south: int = 0
 
 
@@ -392,13 +384,10 @@ def pt_survey(n: int) -> PtSurvey:
     for steps in _pt_paths(n):
         path = BorderPath(steps)
         ncor = len(path.corner_cells)
-        clabels = [c.row for c in path.corner_cells]
         ends_south = steps[-1] == SOUTH
         cnt = pt_filling_count(path.row_lengths, path.num_cols)
         s.count += cnt
         s.corners_total += ncor * cnt
-        for label in clabels:
-            s.corner_pos[label] = s.corner_pos.get(label, 0) + cnt
         if ends_south:
             s.last_south += cnt
     return s

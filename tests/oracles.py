@@ -10,8 +10,20 @@ from math import comb, factorial
 from typing import Iterator
 
 from treelike.abpoly import A, B, BivarPoly, t_poly
-from treelike.bijections import ColoredLetter, ColoredWord
-from treelike.core import SOUTH, WEST, BorderPath, Cell, TreeLikeTableau, _tlt_completions
+from treelike.bijections import ColoredLetter, ColoredWord, _piece_paths
+from treelike.core import (
+    SOUTH,
+    WEST,
+    BorderPath,
+    Cell,
+    TreeLikeTableau,
+    _pt_paths,
+    _tlt_completions,
+    _tlt_paths,
+    first_row_points,
+    pt_filling_count,
+    tlt_filling_tallies,
+)
 from treelike.counting import exact_div
 
 # the two size-0 tableaux that corner cutting yields at the ends of a border
@@ -42,6 +54,31 @@ def filling_count(lengths: tuple[int, ...], width: int, dots: tuple | None = Non
     = (stat, d), how many of them have stat d: the count at the start of
     the completion table that rank and unrank walk."""
     return _tlt_completions(lengths, width, dots)[1][0][0][0]
+
+
+def corner_positions(n: int, family: str) -> dict[int, int]:
+    """{i: the corners in the row labelled i, over all tree-like tableaux
+    of size n (`family` "tlt") or permutation tableaux of length n ("pt")}:
+    each border path's filling count (`tlt_filling_tallies` or
+    `pt_filling_count`) times its corner labels."""
+    out: dict[int, int] = {}
+    for steps in (_tlt_paths if family == "tlt" else _pt_paths)(n):
+        path = BorderPath(steps)
+        shape = (path.row_lengths, path.num_cols)
+        if family == "tlt":
+            count = sum(tally[0] for tally in tlt_filling_tallies(*shape).values())
+        else:
+            count = pt_filling_count(*shape)
+        for cell in path.corner_cells:
+            out[cell.row] = out.get(cell.row, 0) + count
+    return out
+
+
+def first_row_dist(n: int) -> dict[int, int]:
+    """{d: the tree-like tableaux of size n with d first-row dots}, the
+    totals of the prefix sums that `bijections._piece_paths(n)` keeps."""
+    offsets = _piece_paths(n)[2]
+    return {d: sums[-1] for (stat, d), sums in offsets.items() if stat is first_row_points}
 
 
 def enumerate_colored_words(h: int, w: int) -> Iterator[ColoredWord]:

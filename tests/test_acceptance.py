@@ -11,7 +11,7 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import corners_closed_form, displacement_formula
+from oracles import corner_positions, corners_closed_form, displacement_formula, first_row_dist
 from treelike import abpoly, bijections, counting
 from treelike.bijections import (
     MarkedRun,
@@ -88,23 +88,23 @@ def test_c04_corner_transfer_and_last_position():
         assert tlt_survey(n).transfer_delta_total == factorial(n - 1)
         assert counting.xn_count(n) == factorial(n - 1)
         assert counting.tlt_corner_count(n) == counting.pt_corner_count(n) + counting.xn_count(n)
-        assert tlt_survey(n).corner_pos.get(n, 0) == factorial(n - 1)
-        assert pt_survey(n).corner_pos.get(n, 0) == 0
-        assert perm_survey(n).last_is_n == factorial(n - 1)
+        assert corner_positions(n, "tlt").get(n, 0) == factorial(n - 1)
+        assert corner_positions(n, "pt").get(n, 0) == 0
+        assert sum(p[-1] == n for p in permutations(range(1, n + 1))) == factorial(n - 1)
     print("criterion 4 ok: column deletion loses (n-1)! corners, all at the last position")
 
 
 def test_c05_corner_position_distribution():
     for n in range(2, 9):
-        ts = tlt_survey(n)
-        ps = pt_survey(n)
+        ts = corner_positions(n, "tlt")
+        ps = corner_positions(n, "pt")
         bi = perm_survey(n).bi_counts
         for i in range(1, n):
             expected = formula_bi(n, i)
             assert expected == (i - 1 + (n - i) + (n - i) * (i - 1)) * factorial(n - 2)
             assert bi.get(i, 0) == expected
-            assert ts.corner_pos.get(i, 0) == expected
-            assert ps.corner_pos.get(i, 0) == expected
+            assert ts.get(i, 0) == expected
+            assert ps.get(i, 0) == expected
     print("criterion 5 ok: per-position corner counts match B_i for 1<=i<n<=8")
 
 
@@ -254,7 +254,7 @@ def test_c13_first_column_distribution_is_stirling():
         row = stirling_row(n)
         s = tlt_survey(n)
         assert s.fc_dist == row
-        assert s.fr_dist == row
+        assert first_row_dist(n) == row
         assert perm_cycle_dist(n) == row
         assert s.fc_dist.get(1, 0) == factorial(n - 1)
         assert sum(row.values()) == factorial(n)

@@ -371,20 +371,27 @@ def test_every_cache_is_bounded():
 
 
 def _orphans(sources: dict, exported=()) -> set:
-    """The functions, methods and module constants of `sources` ({path:
-    code}) that no code names outside their own body or assignment (prose
-    in a docstring does not count) and that are not exported. A method is
-    named `Class.method`; a module constant is a name bound by an
-    assignment at the top level of a module.
+    """The functions, methods, dataclass fields and module constants of
+    `sources` ({path: code}) that no code names outside their own body or
+    assignment (prose in a docstring does not count) and that are not
+    exported. A method is named `Class.method`, and so is an annotated
+    field of a `@dataclass`, `Class.field`; a module constant is a name
+    bound by an assignment at the top level of a module. NamedTuples have
+    no fields here, because code unpacks them by position.
 
     Where the receiver's class is known the use is resolved: `self.x` or
     `cls.x` inside a class, `C.x` for a class C of the sources, `t.x` in a
-    function with the parameter `t: C`, and `r.f.x` where r resolves to a
-    class whose body annotates the field `f: C`, count only for C's method
-    x. Any other attribute `obj.x` counts for every method, function and
+    function with the parameter `t: C` or after `t = C(...)`, and `r.f.x`
+    where r resolves to a class whose body annotates the field `f: C`,
+    count only for C's x. `m.x`, for a module m of the sources imported
+    with `from . import m`, counts only for m's top-level x. Any other
+    attribute `obj.x` counts for every method, field, function and
     constant named x, and a bare name `x` for every function and constant
-    named x. Binding a name is not a use."""
+    named x. Binding a name or assigning to an attribute is not a use. A
+    field counts as read only outside the functions that call its class's
+    constructor: the function that builds a record fills it."""
     import ast
+    from pathlib import PurePath
 
     trees = {path: ast.parse(code) for path, code in sources.items()}
     classes = {
@@ -393,18 +400,31 @@ def _orphans(sources: dict, exported=()) -> set:
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
     }
-    defs = []  # (class or None, name, file, first line, last line)
+    modules = {PurePath(str(path)).stem: path for path in trees}
+    defs = []  # (class or None, name, file, first line, last line, is a field)
     for path, tree in trees.items():
         for stmt in tree.body:
             if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 defs.extend(
-                    (None, node.id, path, stmt.lineno, stmt.end_lineno)
+                    (None, node.id, path, stmt.lineno, stmt.end_lineno, False)
                     for target in targets
                     for node in ast.walk(target)
                     if isinstance(node, ast.Name)
                 )
-    uses = []  # (class, None when unknown, or "" for a bare name; name, file, line)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(getattr(d, "func", d)).endswith("dataclass")
+                for d in node.decorator_list
+            ):
+                defs.extend(
+                    (node.name, stmt.target.id, path, stmt.lineno, stmt.end_lineno, True)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                )
+    # (class, None when unknown, "" for a bare name, or a module's file;
+    # name, file, line, the names its enclosing functions call)
+    uses = []
 
     def annotated(node):
         # the class of the sources an annotation names, else None
@@ -421,43 +441,64 @@ def _orphans(sources: dict, exported=()) -> set:
     }
 
     def resolve(expr, cls, env):
-        # the class of the sources the receiver expression holds, else None
+        # the class of the sources (or the module file) the receiver
+        # expression holds, else None
         if isinstance(expr, ast.Name):
             return cls if expr.id in ("self", "cls") else env.get(expr.id)
         if isinstance(expr, ast.Attribute):
             return fields.get((resolve(expr.value, cls, env), expr.attr))
         return None
 
-    def visit(node, path, cls, in_class_body, env):
+    def visit(node, path, cls, in_class_body, env, calls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, path, child.name, True, env)
+                visit(child, path, child.name, True, env, calls)
                 continue
-            inner = env
+            inner, inner_calls = env, calls
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner = cls if in_class_body else None
-                defs.append((owner, child.name, path, child.lineno, child.end_lineno))
+                defs.append((owner, child.name, path, child.lineno, child.end_lineno, False))
                 # a parameter holds its annotated class, or shadows a name
                 a = child.args
                 params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
                 inner = dict(env)
                 for arg in filter(None, params):
                     inner[arg.arg] = arg.annotation and annotated(arg.annotation)
+                inner_calls = calls | {
+                    call.func.id
+                    for call in ast.walk(child)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                }
+            elif isinstance(child, ast.Assign):
+                # a name bound by a constructor call holds its class; any
+                # other binding shadows the name
+                value = child.value
+                made = annotated(value.func) if isinstance(value, ast.Call) else None
+                for target in child.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                            env[name.id] = made if name is target else None
+            elif isinstance(child, ast.ImportFrom) and child.module is None:
+                for alias in child.names:
+                    if alias.name in modules:
+                        env[alias.asname or alias.name] = modules[alias.name]
             elif isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
-                uses.append(("", child.id, path, child.lineno))
-            elif isinstance(child, ast.Attribute):
+                uses.append(("", child.id, path, child.lineno, calls))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
                 owner = resolve(child.value, cls, env)
-                uses.append((owner, child.attr, path, child.lineno))
-            visit(child, path, cls, False, inner)
+                uses.append((owner, child.attr, path, child.lineno, calls))
+            visit(child, path, cls, False, inner, inner_calls)
 
     for path, tree in trees.items():
-        visit(tree, path, None, False, {c: c for c in classes})
+        visit(tree, path, None, False, {c: c for c in classes}, frozenset())
 
-    def named(owner, name, path, first, last):
-        for u_owner, u_name, p, line in uses:
+    def named(owner, name, path, first, last, is_field):
+        for u_owner, u_name, p, line, calls in uses:
             if u_name != name or (p == path and first <= line <= last):
                 continue
-            if owner is None and u_owner in ("", None):
+            if is_field and owner in calls:
+                continue
+            if owner is None and u_owner in ("", None, path):
                 return True
             if owner is not None and u_owner in (owner, None):
                 return True
@@ -465,16 +506,16 @@ def _orphans(sources: dict, exported=()) -> set:
 
     return {
         name if owner is None else f"{owner}.{name}"
-        for owner, name, path, first, last in defs
+        for owner, name, path, first, last, is_field in defs
         if not (name.startswith("__") and name.endswith("__"))
         and name not in exported
-        and not named(owner, name, path, first, last)
+        and not named(owner, name, path, first, last, is_field)
     }
 
 
 def test_every_function_has_a_caller():
-    # each function, method or module constant of the package is named in
-    # code somewhere in src/, or is exported
+    # each function, method, dataclass field or module constant of the
+    # package is named in code somewhere in src/, or is exported
     from pathlib import Path
 
     import treelike
@@ -541,3 +582,58 @@ def total(t: Tableau):
     return t.path.length() + t.length()
 """
     assert _orphans({"t.py": typed}) == {"Grid.length", "total"}
+    # a dataclass field counts as read only outside the functions that call
+    # its constructor, and assigning to it is no read: `build` fills Survey
+    # and reads `spare`, and `clear` only assigns it, so spare is reported,
+    # while `build().total` in main reads total. `g = Grid()` binds g to
+    # Grid, so `g.size()` counts for Grid alone. A NamedTuple has no fields
+    # here
+    records = """
+@dataclass
+class Survey:
+    total: int = 0
+    spare: int = 0
+
+    def size(self):
+        return 1
+
+class Grid:
+    def size(self):
+        return 2
+
+class Pair(NamedTuple):
+    left: int
+
+def build():
+    s = Survey()
+    s.total += 1
+    s.spare = s.spare + 1
+    return s
+
+def clear(s: Survey):
+    s.spare = 0
+
+def main():
+    g = Grid()
+    return build().total + g.size()
+"""
+    assert _orphans({"r.py": records}) == {"Survey.spare", "Survey.size", "clear", "main"}
+    # `counting.formula` names the top-level formula of counting.py alone,
+    # so neither the method Poly.formula nor the formula of abpoly.py has a
+    # reader
+    counting = """
+def formula(n):
+    return n
+
+class Poly:
+    def formula(self):
+        return 0
+"""
+    verify = """
+from . import counting
+
+def check(n):
+    return counting.formula(n)
+"""
+    modules = {"counting.py": counting, "verify.py": verify, "abpoly.py": "def formula(): pass"}
+    assert _orphans(modules) == {"Poly.formula", "check", "formula"}

@@ -7,7 +7,14 @@ import sys
 
 import pytest
 
-from oracles import ascent_values, cycle_count, displacement, displacement_formula
+from oracles import (
+    ascent_values,
+    corner_positions,
+    cycle_count,
+    displacement,
+    displacement_formula,
+    first_row_dist,
+)
 from treelike.counting import (
     exact_div,
     formula_bi,
@@ -130,14 +137,14 @@ class TestCountBi:
     def test_tlt_corner_positions(self, n):
         # corners at (i, i+1) over the whole catalogue: the first n-1
         # positions follow the same counts, the last one is (n-1)!
-        pos = tlt_survey(n).corner_pos
+        pos = corner_positions(n, "tlt")
         for i in range(1, n):
             assert pos.get(i, 0) == formula_bi(n, i), i
         assert pos.get(n, 0) == math.factorial(n - 1)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_pt_corner_positions(self, n):
-        pos = pt_survey(n).corner_pos
+        pos = corner_positions(n, "pt")
         for i in range(1, n):
             assert pos.get(i, 0) == formula_bi(n, i), i
         assert pos.get(n, 0) == 0
@@ -184,7 +191,7 @@ class TestStirling:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_first_row_matches_by_symmetry(self, n):
-        assert tlt_survey(n).fr_dist == stirling_row(n)
+        assert first_row_dist(n) == stirling_row(n)
 
     def test_row_sums(self):
         for n in range(1, 9):

@@ -321,6 +321,7 @@ def test_rejected_fillings_raise():
         ((0b01, 0b01), "must hold a dot"),  # the right column stays empty
         ((0b111, 0b01), "outside its row"),
         ((0b11,), "row count"),
+        ((0b10, 0b101), "outside its row"),  # found before any cell, as in the constructor
     ],
 )
 def test_rejected_filling_messages(rows, match):

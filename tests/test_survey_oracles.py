@@ -6,9 +6,12 @@ positional and an insertion DP, while `perm_cycle_dist` reads each
 permutation. The reference versions below are the earlier sweeps, which
 build every filling or permutation and tally it one statistic at a time,
 the fused per-permutation pass that `perm_survey` was, and the tuple-keyed
-tally DP that `core.tlt_filling_tallies` was; they are kept here unchanged
-as oracles, and every field of every survey must agree with them wherever
-both run.
+tally DP that `core.tlt_filling_tallies` was; they are kept here as
+oracles, and every field of every survey must agree with them wherever both
+run. The sweeps also return the tallies that the surveys do not keep (the
+corners by position, the first-row distribution and the permutations that
+end in n), which are set against `oracles.corner_positions`,
+`oracles.first_row_dist` and (n - 1)!.
 """
 
 import math
@@ -17,7 +20,14 @@ from operator import add
 
 import pytest
 
-from oracles import ascent_values, bits, cycle_count, displacement
+from oracles import (
+    ascent_values,
+    bits,
+    corner_positions,
+    cycle_count,
+    displacement,
+    first_row_dist,
+)
 from treelike.core import (
     _EMPTY,
     _FILLED,
@@ -55,9 +65,11 @@ from treelike.counting import (
 
 
 def sweep_perm_survey(n):
-    """(PermSurvey, cycle distribution), one statistic at a time."""
+    """(PermSurvey, cycle distribution, permutations that end in n), one
+    statistic at a time."""
     s = PermSurvey(n)
     cycles = {}
+    last_is_n = 0
     s.bi_counts = {i: 0 for i in range(1, n)}
     for p in permutations(range(1, n + 1)):
         s.count += 1
@@ -74,14 +86,15 @@ def sweep_perm_survey(n):
                 s.interior_dd_total += 1
         s.excedance_total += sum(1 for j, v in enumerate(p, start=1) if v > j)
         if p[-1] == n:
-            s.last_is_n += 1
-    return s, cycles
+            last_is_n += 1
+    return s, cycles, last_is_n
 
 
 def fused_perm_survey(n):
-    """(PermSurvey, cycle distribution) from one pass over all permutations
-    of [n], tallying every statistic with integer arithmetic on each
-    permutation: `perm_survey` and the cycle pass before the DPs."""
+    """(PermSurvey, cycle distribution, permutations that end in n) from
+    one pass over all permutations of [n], tallying every statistic with
+    integer arithmetic on each permutation: `perm_survey` and the cycle pass
+    before the DPs."""
     by_bi: dict[int, int] = {}
     cycles: dict[int, int] = {}
     runs1 = interior_dd = disp = exc = last_is_n = 0
@@ -133,9 +146,8 @@ def fused_perm_survey(n):
         displacement_total=disp,
         interior_dd_total=interior_dd,
         excedance_total=exc,
-        last_is_n=last_is_n,
     )
-    return survey, cycles
+    return survey, cycles, last_is_n
 
 
 def tuple_tlt_filling_tallies(lengths, width):
@@ -198,8 +210,10 @@ def tuple_tlt_filling_tallies(lengths, width):
 
 
 def sweep_tlt_survey(n):
+    """(TltSurvey, corners by row label, first-row distribution)."""
     s = TltSurvey(n)
     s.class_weight = {c: {} for c in NOC_CLASSES}
+    corner_pos, fr_dist = {}, {}
     for steps in _tlt_paths(n):
         path = BorderPath(steps)
         lengths = path.row_lengths
@@ -217,12 +231,12 @@ def sweep_tlt_survey(n):
             key = (fr - 1, fc - 1)
             s.weight[key] = s.weight.get(key, 0) + 1
             s.fc_dist[fc] = s.fc_dist.get(fc, 0) + 1
-            s.fr_dist[fr] = s.fr_dist.get(fr, 0) + 1
+            fr_dist[fr] = fr_dist.get(fr, 0) + 1
             rk = (k, fr - 1, fc - 1)
             s.rows_weight[rk] = s.rows_weight.get(rk, 0) + 1
             occ = 0
             for (r, c), label in zip(cpos, clabels):
-                s.corner_pos[label] = s.corner_pos.get(label, 0) + 1
+                corner_pos[label] = corner_pos.get(label, 0) + 1
                 if (rows[r] >> c) & 1:
                     occ += 1
                 else:
@@ -234,11 +248,13 @@ def sweep_tlt_survey(n):
                 s.occ_weight[key] = s.occ_weight.get(key, 0) + occ
             if len(cpos) - occ:
                 s.noc_weight[key] = s.noc_weight.get(key, 0) + len(cpos) - occ
-    return s
+    return s, corner_pos, fr_dist
 
 
 def sweep_pt_survey(n):
+    """(PtSurvey, corners by row label)."""
     s = PtSurvey(n)
+    corner_pos = {}
     for steps in _pt_paths(n):
         path = BorderPath(steps)
         ncor = len(path.corner_cells)
@@ -248,10 +264,10 @@ def sweep_pt_survey(n):
         s.count += cnt
         s.corners_total += ncor * cnt
         for label in clabels:
-            s.corner_pos[label] = s.corner_pos.get(label, 0) + cnt
+            corner_pos[label] = corner_pos.get(label, 0) + cnt
         if ends_south:
             s.last_south += cnt
-    return s
+    return s, corner_pos
 
 
 def swept_tallies(path):
@@ -271,33 +287,47 @@ def swept_tallies(path):
 # tests
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_surveys_equal_the_sweeps(n):
-    # vars() compares every field, dictionaries included
-    assert vars(tlt_survey(n)) == vars(sweep_tlt_survey(n))
-    assert vars(pt_survey(n)) == vars(sweep_pt_survey(n))
-    survey, cycles = sweep_perm_survey(n)
+def _tlt_survey_equals_the_sweep(n):
+    survey, corner_pos, fr_dist = sweep_tlt_survey(n)
+    assert vars(tlt_survey(n)) == vars(survey)
+    assert corner_pos == corner_positions(n, "tlt")
+    assert fr_dist == first_row_dist(n)
+
+
+def _perm_survey_equals_the_fused_pass(n):
+    survey, cycles, last_is_n = fused_perm_survey(n)
     assert vars(perm_survey(n)) == vars(survey)
     assert perm_cycle_dist(n) == cycles
+    assert last_is_n == math.factorial(n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_surveys_equal_the_sweeps(n):
+    # vars() compares every field, dictionaries included; the tallies the
+    # surveys do not keep are set against the oracles
+    _tlt_survey_equals_the_sweep(n)
+    survey, corner_pos = sweep_pt_survey(n)
+    assert vars(pt_survey(n)) == vars(survey)
+    assert corner_pos == corner_positions(n, "pt")
+    survey, cycles, last_is_n = sweep_perm_survey(n)
+    assert vars(perm_survey(n)) == vars(survey)
+    assert perm_cycle_dist(n) == cycles
+    assert last_is_n == math.factorial(n - 1)
 
 
 @pytest.mark.slow
 def test_tlt_survey_equals_the_sweep_n9():
-    assert vars(tlt_survey(9)) == vars(sweep_tlt_survey(9))
+    _tlt_survey_equals_the_sweep(9)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_split_perm_survey_equals_the_fused_pass(n):
-    survey, cycles = fused_perm_survey(n)
-    assert vars(perm_survey(n)) == vars(survey)
-    assert perm_cycle_dist(n) == cycles
+    _perm_survey_equals_the_fused_pass(n)
 
 
 @pytest.mark.slow
 def test_split_perm_survey_equals_the_fused_pass_n9():
-    survey, cycles = fused_perm_survey(9)
-    assert vars(perm_survey(9)) == vars(survey)
-    assert perm_cycle_dist(9) == cycles
+    _perm_survey_equals_the_fused_pass(9)
 
 
 def test_dp_tallies_equal_the_fillings_path_by_path():
@@ -338,7 +368,7 @@ def test_lane_dp_equals_the_tuple_dp_n9():
 def test_tlt_survey_n10_without_a_sweep():
     s = tlt_survey(10)
     assert s.count == math.factorial(10)
-    assert s.fc_dist == s.fr_dist == stirling_row(10)
+    assert s.fc_dist == first_row_dist(10) == stirling_row(10)
     assert s.corners_total == tlt_corner_count(10)
     assert s.noc_total == noc_count(10)
     assert s.transfer_delta_total == math.factorial(9)
