@@ -11,6 +11,7 @@ with a marked run of size 1.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, groupby
@@ -594,11 +595,11 @@ def _piece_paths(k: int) -> tuple[tuple[BorderPath, ...], dict, dict]:
     those on earlier paths. Read off the per-path tallies of
     `tlt_filling_tallies`, 2^(k-1) of them."""
     paths = tuple(BorderPath(steps) for steps in _tlt_paths(k))
-    counts: dict = {}
+    counts = defaultdict(lambda: [0] * len(paths))
     for i, path in enumerate(paths):
         for (fr, fc), tally in tlt_filling_tallies(path.row_lengths, path.num_cols).items():
             for key in ((first_row_points, fr), (first_col_points, fc)):
-                counts.setdefault(key, [0] * len(paths))[i] += tally[0]
+                counts[key][i] += tally[0]
     index = {path.steps: i for i, path in enumerate(paths)}
     return paths, index, {key: list(accumulate(c, initial=0)) for key, c in counts.items()}
 

@@ -28,19 +28,16 @@ SEPARATOR = "---"
 
 
 def _emit_objects(objs, fmt: str, limit, out) -> None:
-    count = 0
-    first = True
-    for obj in objs:
-        if limit is not None and count >= limit:
+    # the generator starts even at --limit 0, so a bad size still exits 2
+    for i, obj in enumerate(objs):
+        if i == limit:
             break
-        count += 1
         if fmt == "json":
             out.write(to_json(obj) + "\n")
         else:
-            if not first:
+            if i:
                 out.write(SEPARATOR + "\n")
             out.write(to_text(obj) + "\n")
-            first = False
 
 
 def _cmd_enumerate(args) -> int:

@@ -772,10 +772,6 @@ def parse_nat(text: str) -> NonAmbiguousTree:
     return NonAmbiguousTree(parse_tlt(text))
 
 
-def to_json_obj(obj) -> dict:
-    steps, lines = _path_and_lines(obj)
-    return {"path": steps, "rows": lines}
-
-
 def to_json(obj) -> str:
-    return json.dumps(to_json_obj(obj), separators=(",", ":"))
+    steps, lines = _path_and_lines(obj)
+    return json.dumps({"path": steps, "rows": lines}, separators=(",", ":"))

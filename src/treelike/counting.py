@@ -152,7 +152,6 @@ def runs_of_size_1(p: tuple[int, ...]) -> list[int]:
 
 @dataclass
 class PermSurvey:
-    n: int
     count: int = 0
     bi_counts: dict[int, int] = field(default_factory=dict)
     runs1_total: int = 0
@@ -229,7 +228,6 @@ def perm_survey(n: int) -> PermSurvey:
     # comes after the sentinel n + 1
     total = ends_up + ends_down + ((ends_down + (ends_up if n == 1 else 0)) & lane) * runs_1
     return PermSurvey(
-        n,
         count=total & lane,
         bi_counts=perm_bi_counts(n),
         runs1_total=total >> lanes & lane,
@@ -274,7 +272,6 @@ def perm_bi_counts(n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=64)
 def perm_cycle_dist(n: int) -> dict[int, int]:
     """{k: the permutations of [n] with k cycles}, one permutation at a
     time. No DP is used here: every DP for the cycle count found is the
@@ -301,7 +298,6 @@ def perm_cycle_dist(n: int) -> dict[int, int]:
 
 @dataclass
 class TltSurvey:
-    n: int
     count: int = 0
     corners_total: int = 0
     occupied_total: int = 0
@@ -331,7 +327,7 @@ def tlt_survey(n: int) -> TltSurvey:
     first-column dots."""
     if n < 1:
         raise ValueError("size must be positive")
-    s = TltSurvey(n)
+    s = TltSurvey()
     # (rows, fr, fc) -> (fillings, their corners, AB, A1, 1B, OneOne)
     fine: dict[tuple[int, int, int], tuple[int, ...]] = {}
     for steps in _tlt_paths(n):
@@ -367,7 +363,6 @@ def tlt_survey(n: int) -> TltSurvey:
 
 @dataclass
 class PtSurvey:
-    n: int
     count: int = 0
     corners_total: int = 0
     last_south: int = 0
@@ -380,7 +375,7 @@ def pt_survey(n: int) -> PtSurvey:
     count."""
     if n < 1:
         raise ValueError("length must be positive")
-    s = PtSurvey(n)
+    s = PtSurvey()
     for steps in _pt_paths(n):
         path = BorderPath(steps)
         ncor = len(path.corner_cells)

@@ -40,6 +40,31 @@ class TestEnumerate:
         assert code == 0
         assert len(out.split("---\n")) == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_limit_zero_prints_nothing(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--object", "tlt", "--size", "3", "--format", fmt, "--limit", "0"
+        )
+        assert (code, out, err) == (0, "", "")
+
+    @pytest.mark.parametrize(
+        "obj", [("tlt", "--size", "0"), ("nat", "--height", "-1", "--width", "2")]
+    )
+    def test_limit_zero_still_rejects_a_bad_size(self, capsys, obj):
+        # the objects are generated lazily; the size is checked all the same
+        code, out, err = run_cli(capsys, "enumerate", "--object", *obj, "--limit", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_limit_above_the_total_prints_every_object(self, capsys, fmt):
+        args = ("enumerate", "--object", "tlt", "--size", "3", "--format", fmt)
+        code, out, err = run_cli(capsys, *args, "--limit", "7")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *args)[1]
+        objects = out.splitlines() if fmt == "json" else out.split("---\n")
+        assert len(objects) == math.factorial(3)
+
     def test_json_lines(self, capsys):
         code, out, _ = run_cli(
             capsys, "enumerate", "--object", "tlt", "--size", "2", "--format", "json"

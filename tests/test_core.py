@@ -381,11 +381,13 @@ def _orphans(sources: dict, exported=()) -> set:
 
     Where the receiver's class is known the use is resolved: `self.x` or
     `cls.x` inside a class, `C.x` for a class C of the sources, `t.x` in a
-    function with the parameter `t: C` or after `t = C(...)`, and `r.f.x`
-    where r resolves to a class whose body annotates the field `f: C`,
-    count only for C's x. `m.x`, for a module m of the sources imported
-    with `from . import m`, counts only for m's top-level x. Any other
-    attribute `obj.x` counts for every method, field, function and
+    function with the parameter `t: C` or after `t = C(...)`, `r.x` in a
+    loop or comprehension `for r in rows` over a call to a function
+    annotated `-> list[C]` (or over a name bound to such a call), and
+    `r.f.x` where r resolves to a class whose body annotates the field
+    `f: C`, count only for C's x. `m.x`, for a module m of the sources
+    imported with `from . import m`, counts only for m's top-level x. Any
+    other attribute `obj.x` counts for every method, field, function and
     constant named x, and a bare name `x` for every function and constant
     named x. Binding a name or assigning to an attribute is not a use. A
     field counts as read only outside the functions that call its class's
@@ -440,6 +442,22 @@ def _orphans(sources: dict, exported=()) -> set:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     }
 
+    def listed(node):
+        # (C,) for the annotation `list[C]`, C a class of the sources
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "list":
+            c = annotated(node.slice)
+            return c and (c,)
+        return None
+
+    returns = {  # (module file or class, function name): (C,) for `-> list[C]`
+        (owner, stmt.name): listed(stmt.returns)
+        for path, tree in trees.items()
+        for owner, body in [(path, tree.body)]
+        + [(node.name, node.body) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for stmt in body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
     def resolve(expr, cls, env):
         # the class of the sources (or the module file) the receiver
         # expression holds, else None
@@ -448,6 +466,31 @@ def _orphans(sources: dict, exported=()) -> set:
         if isinstance(expr, ast.Attribute):
             return fields.get((resolve(expr.value, cls, env), expr.attr))
         return None
+
+    def made(value, path, cls, env):
+        # what a call's result holds: C for the constructor call C(...),
+        # (C,) for a call to a function annotated `-> list[C]`, else None
+        if not isinstance(value, ast.Call):
+            return None
+        func = value.func
+        if isinstance(func, ast.Attribute):
+            return returns.get((resolve(func.value, cls, env), func.attr))
+        return annotated(func) or returns.get((path, getattr(func, "id", None)))
+
+    def element(iterable, path, cls, env):
+        # the class C of the sources a loop over a list of C binds, else None
+        if isinstance(iterable, ast.Name):
+            held = env.get(iterable.id)
+        else:
+            held = made(iterable, path, cls, env)
+        return held[0] if isinstance(held, tuple) else None
+
+    def bind(target, held, env):
+        # a plain name target holds `held`; a name unpacked from a tuple
+        # target holds nothing known
+        for name in ast.walk(target):
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                env[name.id] = held if name is target else None
 
     def visit(node, path, cls, in_class_body, env, calls):
         for child in ast.iter_child_nodes(node):
@@ -470,14 +513,16 @@ def _orphans(sources: dict, exported=()) -> set:
                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                 }
             elif isinstance(child, ast.Assign):
-                # a name bound by a constructor call holds its class; any
-                # other binding shadows the name
-                value = child.value
-                made = annotated(value.func) if isinstance(value, ast.Call) else None
+                held = made(child.value, path, cls, env)
                 for target in child.targets:
-                    for name in ast.walk(target):
-                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
-                            env[name.id] = made if name is target else None
+                    bind(target, held, env)
+            elif isinstance(child, (ast.For, ast.AsyncFor)):
+                bind(child.target, element(child.iter, path, cls, env), env)
+            elif isinstance(child, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                # a comprehension binds its targets in a scope of its own
+                inner = dict(env)
+                for gen in child.generators:
+                    bind(gen.target, element(gen.iter, path, cls, inner), inner)
             elif isinstance(child, ast.ImportFrom) and child.module is None:
                 for alias in child.names:
                     if alias.name in modules:
@@ -637,3 +682,36 @@ def check(n):
 """
     modules = {"counting.py": counting, "verify.py": verify, "abpoly.py": "def formula(): pass"}
     assert _orphans(modules) == {"Poly.formula", "check", "formula"}
+
+
+def test_caller_guard_types_loop_variables():
+    # a loop or comprehension variable over a call to a function annotated
+    # `-> list[C]`, or over a name bound to one, holds a C: both reads of
+    # `.n` in cli count for Row alone, so Survey.n has no reader. Without
+    # the annotation, `.n` counts for every field named n
+    verify = """
+@dataclass
+class Row:
+    n: int
+
+def run_checks() -> list[Row]:
+    return [Row(1)]
+"""
+    counting = """
+@dataclass
+class Survey:
+    n: int
+"""
+    cli = """
+from . import verify
+
+def main():
+    rows = verify.run_checks()
+    for r in rows:
+        print(r.n)
+    return sum(row.n for row in verify.run_checks())
+"""
+    modules = {"verify.py": verify, "counting.py": counting, "cli.py": cli}
+    assert _orphans(modules) == {"Survey.n", "main"}
+    modules["verify.py"] = verify.replace(" -> list[Row]", "")
+    assert _orphans(modules) == {"main"}

@@ -67,7 +67,7 @@ from treelike.counting import (
 def sweep_perm_survey(n):
     """(PermSurvey, cycle distribution, permutations that end in n), one
     statistic at a time."""
-    s = PermSurvey(n)
+    s = PermSurvey()
     cycles = {}
     last_is_n = 0
     s.bi_counts = {i: 0 for i in range(1, n)}
@@ -139,7 +139,6 @@ def fused_perm_survey(n):
         for v in bits(mask):
             bi_counts[v + 1] += cnt
     survey = PermSurvey(
-        n,
         count=sum(cycles.values()),
         bi_counts=bi_counts,
         runs1_total=runs1,
@@ -211,7 +210,7 @@ def tuple_tlt_filling_tallies(lengths, width):
 
 def sweep_tlt_survey(n):
     """(TltSurvey, corners by row label, first-row distribution)."""
-    s = TltSurvey(n)
+    s = TltSurvey()
     s.class_weight = {c: {} for c in NOC_CLASSES}
     corner_pos, fr_dist = {}, {}
     for steps in _tlt_paths(n):
@@ -253,7 +252,7 @@ def sweep_tlt_survey(n):
 
 def sweep_pt_survey(n):
     """(PtSurvey, corners by row label)."""
-    s = PtSurvey(n)
+    s = PtSurvey()
     corner_pos = {}
     for steps in _pt_paths(n):
         path = BorderPath(steps)
