@@ -32,7 +32,7 @@ from .core import (
     filling_unrank,
     first_col_points,
     first_row_points,
-    tlt_filling_tallies,
+    tlt_dot_counts,
     transpose_bits,
 )
 from .counting import stirling_row
@@ -592,14 +592,14 @@ def _piece_paths(k: int) -> tuple[tuple[BorderPath, ...], dict, dict]:
     `enumerate_tlt` order, each path's position by its steps, and for each
     (stat, d), stat `first_row_points` or `first_col_points`, the prefix
     sums over the paths of the tableaux with stat d, so entry i counts
-    those on earlier paths. Read off the per-path tallies of
-    `tlt_filling_tallies`, 2^(k-1) of them."""
+    those on earlier paths. Read off the per-path counts of
+    `tlt_dot_counts`, 2^(k-1) of them."""
     paths = tuple(BorderPath(steps) for steps in _tlt_paths(k))
     counts = defaultdict(lambda: [0] * len(paths))
     for i, path in enumerate(paths):
-        for (fr, fc), tally in tlt_filling_tallies(path.row_lengths, path.num_cols).items():
+        for (fr, fc), count in tlt_dot_counts(path.row_lengths, path.num_cols).items():
             for key in ((first_row_points, fr), (first_col_points, fc)):
-                counts[key][i] += tally[0]
+                counts[key][i] += count
     index = {path.steps: i for i, path in enumerate(paths)}
     return paths, index, {key: list(accumulate(c, initial=0)) for key, c in counts.items()}
 

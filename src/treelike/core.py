@@ -267,11 +267,8 @@ def stats_of(t: TreeLikeTableau) -> StatRecord:
     )
 
 
-NOC_CLASS_AB = "AB"
-NOC_CLASS_A1 = "A1"
-NOC_CLASS_1B = "1B"
-NOC_CLASS_ONE_ONE = "OneOne"
-NOC_CLASSES = (NOC_CLASS_AB, NOC_CLASS_A1, NOC_CLASS_1B, NOC_CLASS_ONE_ONE)
+# the classes of `noc_class`, at (column test fails) * 2 + (row test fails)
+NOC_CLASSES = ("AB", "A1", "1B", "OneOne")
 
 
 def noc_class(t: TreeLikeTableau, c: Cell) -> str:
@@ -296,9 +293,7 @@ def _noc_class_at(rows: tuple[int, ...], r: int, c: int) -> str:
     # the class of the undotted corner at row index r, column index c
     col_ok = not any((rows[rr] >> c) & 1 for rr in range(1, r))
     row_ok = rows[r] & ~1 == 0
-    if col_ok:
-        return NOC_CLASS_AB if row_ok else NOC_CLASS_A1
-    return NOC_CLASS_1B if row_ok else NOC_CLASS_ONE_ONE
+    return NOC_CLASSES[(0 if col_ok else 2) + (0 if row_ok else 1)]
 
 
 def transpose(t: TreeLikeTableau) -> TreeLikeTableau:
@@ -553,120 +548,40 @@ def filling_unrank(
     return tuple(rows)
 
 
-def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
+def tlt_dot_counts(lengths: tuple[int, ...], width: int) -> dict[tuple[int, int], int]:
     """The tree-like fillings of a shape, counted without listing them:
-    {(first-row dots, first-column dots): (fillings, AB, A1, 1B, OneOne)},
-    where the last four count the undotted corners of each class of
-    `NOC_CLASSES` over those fillings. A corner is the last cell of a row
-    that is also the bottom-most cell of its column.
-
-    A frontier DP over the moves of `_cell_moves`. A state key is one int:
-    the walk's key (`seen`, the columns holding a filled cell, shifted left
-    by one, and bit 0 set once the row holds one), the corner columns with
-    a filled cell in row index >= 1 (`lower`, the same bits above `seen`),
-    and a high bit set once the row holds a filled cell outside column 0
-    (rows without a corner set it for any). A state's value is one int in
-    fixed-width lanes: a block of five lanes (fillings, AB, A1, 1B, OneOne)
-    per (first-row dots, first-column dots), the block of (fr, fc) at index
-    (fr - 1) * n_fc + fc - 1, with n_fc first-column counts in all (from
-    (0, 0) when row 0 has no cells, so no root). A lane holds how many partial fillings reach the state with that
-    (fr, fc), or how many empty corners of one class (see `noc_class`) they
-    hold in all. So a filled cell in row 0 or column 0 shifts the value up
-    one block row or one block, merging states adds their values, and an
-    empty corner adds every fillings lane to its class lane with one mask
-    and one shift. A lane never holds more than 2^cells partial fillings
-    times the corners, at most one per row, which fixes the lane width."""
+    {(first-row dots, first-column dots): fillings}. A frontier DP over the
+    moves of `_cell_moves` whose value holds a lane per (fr, fc), the lane
+    of (fr, fc) at index (fr - base) * n_fc + fc - base (base 0 when row 0
+    has no cells, so no root), so a filled cell in row 0 or column 0 shifts
+    it up n_fc lanes or one. A lane counts at most 2^cells fillings."""
     moves = _cell_moves(lengths, _TLT_RULES)
-    # the corner rows, each with its corner's column bit
-    corners: dict[int, int] = {}
-    below = 0
-    for r in range(len(lengths) - 1, -1, -1):
-        if lengths[r] > below:
-            below = lengths[r]
-            corners[r] = 2 << (below - 1)
-    corner_cols = sum(corners.values())
-    lanes = sum(lengths) + len(lengths).bit_length()  # a row has at most one corner
-    lane = (1 << lanes) - 1
-    block = 5 * lanes
-    base = 1 if lengths[0] else 0  # the root cell is always dotted
-    n_fc = len(lengths) - lengths.count(0) + 1 - base  # first-column counts
-    n_blocks = (lengths[0] + 1 - base) * n_fc
-    # the fillings lane of every block
-    fill = ((1 << block * n_blocks) - 1) // ((1 << block) - 1) * lane
-    lower_shift = width + 1
-    wide = 1 << 2 * width + 2  # the row holds a filled cell outside column 0
-    flags = wide | 1
+    lanes = sum(lengths) + 1
+    base = 1 if lengths[0] else 0
+    n_fc = len(lengths) - lengths.count(0) + 1 - base
     states = {0: 1}
     for r, bit, may, end in moves:
+        shift = (0 if bit == 2 else n_fc * lanes) if r == 0 else (lanes if bit == 2 else 0)
         nxt: dict[int, int] = {}
         get = nxt.get
-        # lower_bit: the cell is a corner (a row's last cell is one when the
-        # row has a corner), as its column's lower bit
-        lower_bit = bit << lower_shift if end and r in corners else 0
-        if end:
-            # the row's flags clear; at a corner also its column's lower bit
-            keep = ~(flags | lower_bit)
-            filled_set = bit
-        else:
-            keep = -1
-            filled_set = bit | (1 if bit == 2 and r in corners else flags)
-        if r and bit & corner_cols and not lower_bit:
-            filled_set |= bit << lower_shift
-        if r == 0:
-            shift = 0 if bit == 2 else n_fc * block
-        else:
-            shift = block if bit == 2 else 0
         for key, v in states.items():
             ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
             if ok & _EMPTY:
-                to = key & keep
-                if lower_bit:
-                    # column test: no filled cell in rows 1.. above it;
-                    # row test: none left of it but in column 0
-                    i = (3 if key & lower_bit else 1) + (1 if key & wide else 0)
-                    nxt[to] = get(to, 0) + v + ((v & fill) << i * lanes)
-                else:
-                    nxt[to] = get(to, 0) + v
+                to = key & ~1 if end else key
+                nxt[to] = get(to, 0) + v
             if ok & _FILLED:
-                to = (key | filled_set) & keep
+                to = (key | bit) & ~1 if end else key | bit | 1
                 nxt[to] = get(to, 0) + (v << shift)
         states = nxt
-    # every lower bit clears at its corner and the flags at the last row end
     total = states.get(((1 << width) - 1) << 1, 0)
-    out: dict[tuple[int, int], tuple[int, ...]] = {}
-    l2, l3, l4 = 2 * lanes, 3 * lanes, 4 * lanes
+    lane = (1 << lanes) - 1
+    out = {}
     for fr in range(base, lengths[0] + 1):
         for fc in range(base, base + n_fc):
             if total & lane:
-                out[(fr, fc)] = (
-                    total & lane,
-                    total >> lanes & lane,
-                    total >> l2 & lane,
-                    total >> l3 & lane,
-                    total >> l4 & lane,
-                )
-            total >>= block
+                out[(fr, fc)] = total & lane
+            total >>= lanes
     return out
-
-
-def pt_filling_count(lengths: tuple[int, ...], width: int) -> int:
-    """How many fillings `pt_fillings` yields for a shape, counted without
-    listing them: a forward pass over the moves that keeps, per state key,
-    how many partial fillings reach it."""
-    counts = {0: 1}
-    for _, bit, may, end in _cell_moves(lengths, _PT_RULES):
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, n in counts.items():
-            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
-            if ok & _EMPTY:
-                to = key & ~1 if end else key
-                nxt[to] = get(to, 0) + n
-            if ok & _FILLED:
-                to = (key | bit) & ~1 if end else key | bit | 1
-                nxt[to] = get(to, 0) + n
-        counts = nxt
-    return counts.get(((1 << width) - 1) << 1, 0)
 
 
 def enumerate_tlt(n: int) -> Iterator[TreeLikeTableau]:

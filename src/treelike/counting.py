@@ -5,12 +5,12 @@ checks exact divisibility. A survey tallies every statistic the checks read
 for one size, once, so the sweeps are shared across checks. No survey lists
 a tableau, and only the cycle count lists the permutations:
 
-- `tlt_survey` and `pt_survey` count the fillings of each border path with
-  a frontier DP over the same cell rules that `core.tlt_fillings`/
-  `pt_fillings` follow (`core.tlt_filling_tallies`, whose values carry
-  every (first-row, first-column) class in integer lanes, and
-  `core.pt_filling_count`; a transfer-matrix count, Stanley, Enumerative
-  Combinatorics 1, section 4.7);
+- `tlt_survey` and `pt_survey` count the fillings of all border paths of
+  one width in one pass, a transfer-matrix count over the lattice of path
+  prefixes (`_lattice`; Stanley, Enumerative Combinatorics 1, section 4.7)
+  under the cell rules of `core.tlt_fillings`/`pt_fillings`, with integer
+  lanes per (first-row, first-column) class for the fillings, corners,
+  occupied corners and undotted corners by class, each in its own lane;
 - `perm_survey` sums the local permutation statistics with a positional DP
   over (values used, last value, last step descended), and `bi_counts` with
   an insertion DP that inserts 1, ..., n in turn;
@@ -28,17 +28,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
-from operator import add
 
-from .core import (
-    NOC_CLASSES,
-    SOUTH,
-    BorderPath,
-    _pt_paths,
-    _tlt_paths,
-    pt_filling_count,
-    tlt_filling_tallies,
-)
+from .core import _EMPTY, _FILLED, _PT_RULES, _TLT_RULES, NOC_CLASSES
 
 # Not called here since the surveys count through the DP, but kept
 # importable under these names: bench/rep.py wraps them where callers bind
@@ -317,47 +308,183 @@ def _add(d: dict, key, x: int) -> None:
         d[key] = d.get(key, 0) + x
 
 
+def _lattice(k: int, w: int, tlt: bool) -> tuple[int, int, int, int]:
+    """(lanes, S, SW, WW): the fillings of every border path with k south
+    and w west steps that starts with a south step, tallied in lanes of
+    `lanes` bits by the path's end: rows without cells (S, never tree-like),
+    a south then a west step (SW), or two west steps (WW). Tree-like
+    fillings when `tlt`, else permutation-tableau fillings.
+
+    A transfer-matrix count over the lattice of path prefixes (Stanley,
+    Enumerative Combinatorics 1, section 4.7): node (s, t) holds the states
+    of all prefixes with s south and t west steps, keyed as in
+    `core._cell_moves` (bit 1 + c: live column c holds a filled cell, bit
+    0: the row does). A south step walks the row's w - t cells. A west step
+    retires the rightmost live column, keeping the states where it holds a
+    filled cell (column coverage; only the last row can fold it into its
+    cells). A west step right after a south step makes the row's last cell
+    a corner, so that cell also writes its states with the corner tallied.
+
+    Tree-like values hold a block of seven lanes (fillings, corners,
+    occupied, AB, A1, 1B, OneOne) per (first-row dots, first-column dots),
+    the block of (fr, fc) at index (fr - 1) * k + fc - 1. A corner adds
+    every fillings lane to its corners lane and to the occupied lane or its
+    class lane (`noc_class`), told by two more key parts: bit w + 2 + c,
+    column c >= 1 holds a filled cell below row 0, and bit 2w + 2, the row
+    holds one outside column 0 (column 0's corner is a one-cell row, always
+    dotted). Permutation tableaux have one block (fillings, corners). A lane
+    holds at most the partial fillings of C(k + w - 1, k - 1) prefixes of
+    at most k * w cells times their corners, at most min(k, w)."""
+    lanes = k * w + (comb(k + w - 1, k - 1) * max(1, min(k, w))).bit_length()
+    root, cell, row_end = _TLT_RULES if tlt else _PT_RULES
+    fill = (1 << lanes) - 1  # the fillings lane of every block
+    corner = 1 << lanes
+    lower = w + 1  # a column's bit, shifted this far, is its lower bit
+    if tlt:
+        block = 7 * lanes
+        fill = ((1 << block * w * k) - 1) // ((1 << block) - 1) * fill
+        occupied = corner | 1 << 2 * lanes
+        # what an undotted corner adds, by class at its `NOC_CLASSES`
+        # index: (its lower bit) * 2 + (the row's filled cell outside column 0)
+        classes = [corner | 1 << (3 + i) * lanes for i in range(4)]
+        wide = 1 << 2 * w + 2
+    else:
+        occupied, classes, wide = corner, [corner] * 4, 0
+    flags = wide | 1
+    rows: dict = {}
+
+    def row(s: int, length: int) -> list:
+        # the cells of row s as (key mask, rule by masked key, filled-cell
+        # key bits, filled-cell value shift)
+        first, last = s == 0, s == k - 1
+        moves = rows.get((first, last, length))
+        if moves is None:
+            moves = rows[(first, last, length)] = []
+            for c in range(length):
+                bit = 2 << c
+                may = root if first and not c else row_end if c == length - 1 else cell
+                if last:
+                    may = (may[0] & _FILLED, may[1], may[2] & _FILLED, may[3])
+                filled, shift = bit | 1, 0
+                if tlt:  # outside column 0: the row bit, and in a middle row the lower bit
+                    filled |= (wide | (0 if first or last else bit << lower)) if c else 0
+                    shift = (k * block if c else 0) if first else (0 if c else block)
+                rule = {0: may[0], bit: may[1], 1: may[2], bit | 1: may[3]}
+                moves.append((bit | 1, rule, filled, shift))
+        return moves
+
+    # the states at nodes (s, 0..w) whose prefix ends with a south step (a
+    # row that a south step must follow) or with a west step
+    south, west = [None] * (w + 1), [None] * (w + 1)
+    south[0] = {0: 1}
+    ends_s = ends_sw = 0
+    for s in range(k + 1):
+        for t in range(1, w):  # a west step after a west step
+            src = west[t]
+            if src:
+                bit = 2 << w - 1 - t
+                keep = ~(bit | bit << lower)
+                dst = west[t + 1]
+                if dst is None:
+                    dst = west[t + 1] = {}
+                get = dst.get
+                for key, v in src.items():
+                    if key & bit:
+                        to = key & keep
+                        dst[to] = get(to, 0) + v
+        # every column is retired at t = w, so the states there have the key 0
+        ends = [d[0] for d in (south[w], west[w]) if d]
+        if s == k:
+            break
+        ends_s += sum(ends)
+        south_on, west_on = [None] * (w + 1), [None] * (w + 1)
+        for t in range(w):
+            ins = tuple(filter(None, (south[t], west[t])))
+            if not ins:
+                continue
+            moves = row(s, w - t)
+            for mask, rule, filled, shift in moves[:-1]:
+                nxt: dict[int, int] = {}
+                get = nxt.get
+                for src in ins:
+                    for key, v in src.items():
+                        ok = rule[key & mask]
+                        if ok & _EMPTY:
+                            nxt[key] = get(key, 0) + v
+                        if ok & _FILLED:
+                            to = key | filled
+                            nxt[to] = get(to, 0) + (v << shift)
+                ins = (nxt,)
+            # the last cell: on to the next row, or a corner then a west step
+            mask, rule, filled, shift = moves[-1]
+            bit = mask ^ 1
+            lower_bit = bit << lower
+            retire = ~(flags | bit | lower_bit)
+            go_on = s + 1 < k
+            on, cornered = {}, {}
+            on_get, cornered_get = on.get, cornered.get
+            for src in ins:
+                for key, v in src.items():
+                    ok = rule[key & mask]
+                    if ok & _EMPTY:
+                        if go_on:
+                            to = key & ~flags
+                            on[to] = on_get(to, 0) + v
+                        if key & bit:
+                            to = key & retire
+                            i = (2 if key & lower_bit else 0) | (1 if key & wide else 0)
+                            cornered[to] = cornered_get(to, 0) + v + (v & fill) * classes[i]
+                    if ok & _FILLED:
+                        v <<= shift
+                        if go_on:
+                            to = (key | filled) & ~flags
+                            on[to] = on_get(to, 0) + v
+                        to = key & retire
+                        cornered[to] = cornered_get(to, 0) + v + (v & fill) * occupied
+            south_on[t] = on
+            if go_on or t + 1 < w:
+                west_on[t + 1] = cornered
+            else:
+                ends_sw = sum(cornered.values())
+        south, west = south_on, west_on
+    return lanes, ends_s, ends_sw, sum(ends)
+
+
 @lru_cache(maxsize=64)
 def tlt_survey(n: int) -> TltSurvey:
-    """All tree-like tableaux of size n, tallied path by path from the
-    frontier DP of `tlt_filling_tallies`: the fillings of a path counted by
-    first-row and first-column dots, with their undotted corners by class.
-    The corner and transfer fields are constants of the path times its
-    count; the weights are sums of one tally by row count, first-row and
-    first-column dots."""
+    """All tree-like tableaux of size n, tallied width by width from
+    `_lattice`: a tableau of width w has n + 1 - w rows, and its path ends
+    with a west step. `transfer_delta_total` counts those whose path ends
+    with a south then a west step."""
     if n < 1:
         raise ValueError("size must be positive")
     s = TltSurvey()
-    # (rows, fr, fc) -> (fillings, their corners, AB, A1, 1B, OneOne)
-    fine: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for steps in _tlt_paths(n):
-        path = BorderPath(steps)
-        k = path.num_rows
-        ncor = len(path.corner_cells)
-        count = 0
-        tallies = tlt_filling_tallies(path.row_lengths, path.num_cols)
-        for (fr, fc), (cnt, *classes) in tallies.items():
-            count += cnt
-            add_on = (cnt, ncor * cnt, *classes)
-            old = fine.get((k, fr, fc))
-            fine[(k, fr, fc)] = add_on if old is None else tuple(map(add, old, add_on))
-        s.count += count
-        s.corners_total += ncor * count
-        if steps[n - 1] == SOUTH:
-            s.transfer_delta_total += count
     s.class_weight = {c: {} for c in NOC_CLASSES}
-    for (k, fr, fc), (cnt, corners, *classes) in fine.items():
-        key = (fr - 1, fc - 1)
-        noc = sum(classes)
-        _add(s.weight, key, cnt)
-        _add(s.fc_dist, fc, cnt)
-        _add(s.rows_weight, (k,) + key, cnt)
-        _add(s.occ_weight, key, corners - noc)
-        _add(s.noc_weight, key, noc)
-        for name, x in zip(NOC_CLASSES, classes):
-            _add(s.class_weight[name], key, x)
-        s.noc_total += noc
-    s.occupied_total = s.corners_total - s.noc_total
+    for w in range(1, n + 1):
+        k = n + 1 - w
+        lanes, _, sw, ww = _lattice(k, w, True)
+        lane = (1 << lanes) - 1
+        total = sw + ww
+        for fr in range(1, w + 1):
+            for fc in range(1, k + 1):
+                count = total & lane
+                if count:
+                    corners, occ = total >> lanes & lane, total >> 2 * lanes & lane
+                    key = (fr - 1, fc - 1)
+                    s.count += count
+                    s.corners_total += corners
+                    s.occupied_total += occ
+                    _add(s.weight, key, count)
+                    _add(s.fc_dist, fc, count)
+                    _add(s.rows_weight, (k,) + key, count)
+                    _add(s.occ_weight, key, occ)
+                    _add(s.noc_weight, key, corners - occ)
+                    for i, name in enumerate(NOC_CLASSES, 3):
+                        _add(s.class_weight[name], key, total >> i * lanes & lane)
+                s.transfer_delta_total += sw & lane
+                total >>= 7 * lanes
+                sw >>= 7 * lanes
+    s.noc_total = s.corners_total - s.occupied_total
     return s
 
 
@@ -370,19 +497,17 @@ class PtSurvey:
 
 @lru_cache(maxsize=64)
 def pt_survey(n: int) -> PtSurvey:
-    """All permutation tableaux of length n, counted path by path with
-    `pt_filling_count`; every field is a constant of the path times its
-    count."""
+    """All permutation tableaux of length n, tallied width by width from
+    `_lattice`: a tableau of width w has n - w rows, and its path may end
+    with either step."""
     if n < 1:
         raise ValueError("length must be positive")
     s = PtSurvey()
-    for steps in _pt_paths(n):
-        path = BorderPath(steps)
-        ncor = len(path.corner_cells)
-        ends_south = steps[-1] == SOUTH
-        cnt = pt_filling_count(path.row_lengths, path.num_cols)
-        s.count += cnt
-        s.corners_total += ncor * cnt
-        if ends_south:
-            s.last_south += cnt
+    for w in range(n):
+        lanes, south, sw, ww = _lattice(n - w, w, False)
+        lane = (1 << lanes) - 1
+        total = south + sw + ww
+        s.count += total & lane
+        s.corners_total += total >> lanes
+        s.last_south += south & lane
     return s

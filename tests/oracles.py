@@ -12,17 +12,20 @@ from typing import Iterator
 from treelike.abpoly import A, B, BivarPoly, t_poly
 from treelike.bijections import ColoredLetter, ColoredWord, _piece_paths
 from treelike.core import (
+    _EMPTY,
+    _FILLED,
+    _PT_RULES,
+    _TLT_RULES,
     SOUTH,
     WEST,
     BorderPath,
     Cell,
     TreeLikeTableau,
+    _cell_moves,
     _pt_paths,
     _tlt_completions,
     _tlt_paths,
     first_row_points,
-    pt_filling_count,
-    tlt_filling_tallies,
 )
 from treelike.counting import exact_div
 
@@ -54,6 +57,126 @@ def filling_count(lengths: tuple[int, ...], width: int, dots: tuple | None = Non
     = (stat, d), how many of them have stat d: the count at the start of
     the completion table that rank and unrank walk."""
     return _tlt_completions(lengths, width, dots)[1][0][0][0]
+
+
+# ---------------------------------------------------------------------------
+# per-path counts: the frontier DPs the surveys ran on each border path
+
+
+def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
+    """The tree-like fillings of a shape, counted without listing them:
+    {(first-row dots, first-column dots): (fillings, AB, A1, 1B, OneOne)},
+    where the last four count the undotted corners of each class of
+    `NOC_CLASSES` over those fillings. A corner is the last cell of a row
+    that is also the bottom-most cell of its column.
+
+    A frontier DP over the moves of `_cell_moves`. A state key is one int:
+    the walk's key (`seen`, the columns holding a filled cell, shifted left
+    by one, and bit 0 set once the row holds one), the corner columns with
+    a filled cell in row index >= 1 (`lower`, the same bits above `seen`),
+    and a high bit set once the row holds a filled cell outside column 0
+    (rows without a corner set it for any). A state's value is one int in
+    fixed-width lanes: a block of five lanes (fillings, AB, A1, 1B, OneOne)
+    per (first-row dots, first-column dots), the block of (fr, fc) at index
+    (fr - 1) * n_fc + fc - 1, with n_fc first-column counts in all (from
+    (0, 0) when row 0 has no cells, so no root). A lane holds how many partial fillings reach the state with that
+    (fr, fc), or how many empty corners of one class (see `noc_class`) they
+    hold in all. So a filled cell in row 0 or column 0 shifts the value up
+    one block row or one block, merging states adds their values, and an
+    empty corner adds every fillings lane to its class lane with one mask
+    and one shift. A lane never holds more than 2^cells partial fillings
+    times the corners, at most one per row, which fixes the lane width."""
+    moves = _cell_moves(lengths, _TLT_RULES)
+    # the corner rows, each with its corner's column bit
+    corners: dict[int, int] = {}
+    below = 0
+    for r in range(len(lengths) - 1, -1, -1):
+        if lengths[r] > below:
+            below = lengths[r]
+            corners[r] = 2 << (below - 1)
+    corner_cols = sum(corners.values())
+    lanes = sum(lengths) + len(lengths).bit_length()  # a row has at most one corner
+    lane = (1 << lanes) - 1
+    block = 5 * lanes
+    base = 1 if lengths[0] else 0  # the root cell is always dotted
+    n_fc = len(lengths) - lengths.count(0) + 1 - base  # first-column counts
+    n_blocks = (lengths[0] + 1 - base) * n_fc
+    # the fillings lane of every block
+    fill = ((1 << block * n_blocks) - 1) // ((1 << block) - 1) * lane
+    lower_shift = width + 1
+    wide = 1 << 2 * width + 2  # the row holds a filled cell outside column 0
+    flags = wide | 1
+    states = {0: 1}
+    for r, bit, may, end in moves:
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        # lower_bit: the cell is a corner (a row's last cell is one when the
+        # row has a corner), as its column's lower bit
+        lower_bit = bit << lower_shift if end and r in corners else 0
+        if end:
+            # the row's flags clear; at a corner also its column's lower bit
+            keep = ~(flags | lower_bit)
+            filled_set = bit
+        else:
+            keep = -1
+            filled_set = bit | (1 if bit == 2 and r in corners else flags)
+        if r and bit & corner_cols and not lower_bit:
+            filled_set |= bit << lower_shift
+        if r == 0:
+            shift = 0 if bit == 2 else n_fc * block
+        else:
+            shift = block if bit == 2 else 0
+        for key, v in states.items():
+            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
+            if ok & _EMPTY:
+                to = key & keep
+                if lower_bit:
+                    # column test: no filled cell in rows 1.. above it;
+                    # row test: none left of it but in column 0
+                    i = (3 if key & lower_bit else 1) + (1 if key & wide else 0)
+                    nxt[to] = get(to, 0) + v + ((v & fill) << i * lanes)
+                else:
+                    nxt[to] = get(to, 0) + v
+            if ok & _FILLED:
+                to = (key | filled_set) & keep
+                nxt[to] = get(to, 0) + (v << shift)
+        states = nxt
+    # every lower bit clears at its corner and the flags at the last row end
+    total = states.get(((1 << width) - 1) << 1, 0)
+    out: dict[tuple[int, int], tuple[int, ...]] = {}
+    l2, l3, l4 = 2 * lanes, 3 * lanes, 4 * lanes
+    for fr in range(base, lengths[0] + 1):
+        for fc in range(base, base + n_fc):
+            if total & lane:
+                out[(fr, fc)] = (
+                    total & lane,
+                    total >> lanes & lane,
+                    total >> l2 & lane,
+                    total >> l3 & lane,
+                    total >> l4 & lane,
+                )
+            total >>= block
+    return out
+
+
+def pt_filling_count(lengths: tuple[int, ...], width: int) -> int:
+    """How many fillings `pt_fillings` yields for a shape, counted without
+    listing them: a forward pass over the moves that keeps, per state key,
+    how many partial fillings reach it."""
+    counts = {0: 1}
+    for _, bit, may, end in _cell_moves(lengths, _PT_RULES):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, n in counts.items():
+            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
+            if ok & _EMPTY:
+                to = key & ~1 if end else key
+                nxt[to] = get(to, 0) + n
+            if ok & _FILLED:
+                to = (key | bit) & ~1 if end else key | bit | 1
+                nxt[to] = get(to, 0) + n
+        counts = nxt
+    return counts.get(((1 << width) - 1) << 1, 0)
 
 
 def corner_positions(n: int, family: str) -> dict[int, int]:

@@ -19,10 +19,9 @@ from treelike.core import (
     parse_nat,
     parse_pt,
     parse_tlt,
-    pt_filling_count,
     pt_fillings,
     stats_of,
-    tlt_filling_tallies,
+    tlt_dot_counts,
     tlt_fillings,
     to_json,
     to_text,
@@ -213,10 +212,9 @@ class TestEnumeration:
         [
             lambda: list(tlt_fillings((), 0)),
             lambda: list(pt_fillings((), 0)),
-            lambda: tlt_filling_tallies((), 0),
-            lambda: pt_filling_count((), 0),
+            lambda: tlt_dot_counts((), 0),
         ],
-        ids=["tlt_fillings", "pt_fillings", "tlt_filling_tallies", "pt_filling_count"],
+        ids=["tlt_fillings", "pt_fillings", "tlt_dot_counts"],
     )
     def test_shape_without_rows_is_value_error(self, call):
         with pytest.raises(ValueError, match="at least one row"):

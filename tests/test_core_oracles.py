@@ -15,7 +15,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import filling_count
+from oracles import filling_count, pt_filling_count, tlt_filling_tallies
 from treelike.bijections import pt_to_tlt
 from treelike.core import (
     _EMPTY,
@@ -36,9 +36,8 @@ from treelike.core import (
     filling_unrank,
     first_col_points,
     first_row_points,
-    pt_filling_count,
     pt_fillings,
-    tlt_filling_tallies,
+    tlt_dot_counts,
     tlt_fillings,
     to_json,
     to_text,
@@ -241,6 +240,7 @@ def test_fillings_match_recursive_engine():
         assert filling_count(lengths, width) == len(tlt), (lengths, width)
         assert pt_filling_count(lengths, width) == len(pt), (lengths, width)
         firsts = Counter((first_row_points(rows), first_col_points(rows)) for rows in tlt)
+        assert tlt_dot_counts(lengths, width) == firsts, (lengths, width)
         tallies = tlt_filling_tallies(lengths, width)
         assert {key: val[0] for key, val in tallies.items()} == firsts, (lengths, width)
         for i, rows in enumerate(tlt):

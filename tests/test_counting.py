@@ -221,6 +221,12 @@ class TestSurveys:
         assert s.corners_total == pt_corner_count(n)
         assert s.last_south == xn_count(n)
 
+    @pytest.mark.parametrize("survey", [tlt_survey, pt_survey], ids=["tlt", "pt"])
+    def test_size_zero_is_value_error(self, survey):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="must be positive"):
+                survey(n)
+
     def test_xn_size_three(self):
         assert pt_survey(3).last_south == 2
         assert pt_survey(1).last_south == 1

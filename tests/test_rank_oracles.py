@@ -28,6 +28,7 @@ from oracles import (
     cycle_count,
     enumerate_colored_words,
     filling_count,
+    pt_filling_count,
 )
 from treelike.bijections import (
     ColoredWord,
@@ -67,8 +68,8 @@ from treelike.core import (
     filling_unrank,
     first_col_points,
     first_row_points,
-    pt_filling_count,
     pt_fillings,
+    tlt_dot_counts,
     stats_of,
     tlt_fillings,
     transpose,
@@ -334,6 +335,7 @@ def test_shape_narrower_than_width():
     # a column no row reaches never holds a dot, so nothing is yielded
     assert list(tlt_fillings((2, 2), 3)) == list(pt_fillings((2, 1), 3)) == []
     assert filling_count((2, 2), 3) == pt_filling_count((2, 1), 3) == 0
+    assert tlt_dot_counts((2, 2), 3) == {}
     with pytest.raises(ValueError, match="some column has no dot"):
         filling_rank((2, 2), 3, (0b11, 0b01))
 

@@ -1,20 +1,25 @@
 """The counting surveys against the per-object sweeps and the DPs they replaced.
 
-`tlt_survey` and `pt_survey` count the fillings of each border path with a
-frontier DP, and `perm_survey` sums the permutation statistics with a
-positional and an insertion DP, while `perm_cycle_dist` reads each
-permutation. The reference versions below are the earlier sweeps, which
-build every filling or permutation and tally it one statistic at a time,
-the fused per-permutation pass that `perm_survey` was, and the tuple-keyed
-tally DP that `core.tlt_filling_tallies` was; they are kept here as
-oracles, and every field of every survey must agree with them wherever both
-run. The sweeps also return the tallies that the surveys do not keep (the
+`tlt_survey` and `pt_survey` count the fillings of all border paths of one
+width at once, with a transfer-matrix DP over the lattice of path prefixes,
+and `perm_survey` sums the permutation statistics with a positional and an
+insertion DP, while `perm_cycle_dist` reads each permutation. The reference
+versions below are the earlier sweeps, which build every filling or
+permutation and tally it one statistic at a time; the surveys as they were
+before the lattice, which sum one frontier DP per border path
+(`oracles.tlt_filling_tallies` and `oracles.pt_filling_count`); the fused
+per-permutation pass that `perm_survey` was; and the tuple-keyed tally DP
+that `tlt_filling_tallies` was. They are kept here as oracles, and every
+field of every survey must agree with them wherever both run. The sweeps also return the tallies that the surveys do not keep (the
 corners by position, the first-row distribution and the permutations that
 end in n), which are set against `oracles.corner_positions`,
 `oracles.first_row_dist` and (n - 1)!.
 """
 
+import inspect
 import math
+import sys
+import types
 from itertools import permutations
 from operator import add
 
@@ -27,6 +32,8 @@ from oracles import (
     cycle_count,
     displacement,
     first_row_dist,
+    pt_filling_count,
+    tlt_filling_tallies,
 )
 from treelike.core import (
     _EMPTY,
@@ -41,11 +48,11 @@ from treelike.core import (
     _tlt_paths,
     first_col_points,
     first_row_points,
-    pt_filling_count,
     pt_fillings,
-    tlt_filling_tallies,
+    tlt_dot_counts,
     tlt_fillings,
 )
+from treelike import abpoly, counting, verify
 from treelike.counting import (
     PermSurvey,
     PtSurvey,
@@ -269,6 +276,53 @@ def sweep_pt_survey(n):
     return s, corner_pos
 
 
+def path_tlt_survey(n):
+    """`tlt_survey` summed path by path: each border path's fillings by
+    first-row and first-column dots, with their undotted corners by class,
+    from `tlt_filling_tallies`. The corner and transfer fields are constants
+    of the path times its count, and a path's occupied corners are its
+    corners less the undotted ones."""
+    s = TltSurvey()
+    s.class_weight = {c: {} for c in NOC_CLASSES}
+    for steps in _tlt_paths(n):
+        path = BorderPath(steps)
+        k = path.num_rows
+        ncor = len(path.corner_cells)
+        for (fr, fc), (cnt, *classes) in tlt_filling_tallies(path.row_lengths, path.num_cols).items():
+            key = (fr - 1, fc - 1)
+            noc = sum(classes)
+            s.count += cnt
+            s.corners_total += ncor * cnt
+            s.noc_total += noc
+            if steps[n - 1] == SOUTH:
+                s.transfer_delta_total += cnt
+            for d, dkey, x in (
+                (s.weight, key, cnt),
+                (s.fc_dist, fc, cnt),
+                (s.rows_weight, (k,) + key, cnt),
+                (s.occ_weight, key, ncor * cnt - noc),
+                (s.noc_weight, key, noc),
+                *((s.class_weight[c], key, x) for c, x in zip(NOC_CLASSES, classes)),
+            ):
+                if x:
+                    d[dkey] = d.get(dkey, 0) + x
+    s.occupied_total = s.corners_total - s.noc_total
+    return s
+
+
+def path_pt_survey(n):
+    """`pt_survey` summed path by path from `pt_filling_count`."""
+    s = PtSurvey()
+    for steps in _pt_paths(n):
+        path = BorderPath(steps)
+        cnt = pt_filling_count(path.row_lengths, path.num_cols)
+        s.count += cnt
+        s.corners_total += len(path.corner_cells) * cnt
+        if steps[-1] == SOUTH:
+            s.last_south += cnt
+    return s
+
+
 def swept_tallies(path):
     """tlt_filling_tallies(path) read off the fillings one by one."""
     out = {}
@@ -319,6 +373,23 @@ def test_tlt_survey_equals_the_sweep_n9():
     _tlt_survey_equals_the_sweep(9)
 
 
+def _surveys_equal_the_path_sums(n):
+    assert vars(tlt_survey(n)) == vars(path_tlt_survey(n)), n
+    assert vars(pt_survey(n)) == vars(path_pt_survey(n)), n
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lattice_surveys_equal_the_path_sums(n):
+    # one DP per width against one DP per border path, every field
+    _surveys_equal_the_path_sums(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [10, 11])
+def test_lattice_surveys_equal_the_path_sums_slow(n):
+    _surveys_equal_the_path_sums(n)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_split_perm_survey_equals_the_fused_pass(n):
     _perm_survey_equals_the_fused_pass(n)
@@ -345,7 +416,10 @@ def _paths_agree_with_the_tuple_dp(n):
     for steps in _tlt_paths(n):
         p = BorderPath(steps)
         args = (p.row_lengths, p.num_cols)
-        assert tlt_filling_tallies(*args) == tuple_tlt_filling_tallies(*args), steps
+        tallies = tlt_filling_tallies(*args)
+        assert tallies == tuple_tlt_filling_tallies(*args), steps
+        # the count-only DP that ranks the side pieces
+        assert tlt_dot_counts(*args) == {key: t[0] for key, t in tallies.items()}, steps
 
 
 def test_lane_dp_equals_the_tuple_dp():
@@ -371,3 +445,27 @@ def test_tlt_survey_n10_without_a_sweep():
     assert s.corners_total == tlt_corner_count(10)
     assert s.noc_total == noc_count(10)
     assert s.transfer_delta_total == math.factorial(9)
+
+
+def test_planted_class_drop_fails_noc_classes(monkeypatch):
+    # a copy of `counting` whose lattice never adds to the OneOne lane: the
+    # corners and the occupied corners have lanes of their own, so the four
+    # classes no longer add up to the undotted corners, and only the
+    # partition part of the row can see it (OneOne has no closed form)
+    source = inspect.getsource(counting)
+    line = "classes = [corner | 1 << (3 + i) * lanes for i in range(4)]"
+    assert source.count(line) == 1
+    planted = types.ModuleType("treelike.planted_counting")
+    planted.__package__ = "treelike"
+    monkeypatch.setitem(sys.modules, planted.__name__, planted)
+    dropped = line.replace("range(4)]", "range(3)] + [corner]")
+    exec(compile(source.replace(line, dropped), counting.__file__, "exec"), vars(planted))
+    monkeypatch.setattr(abpoly, "tlt_survey", planted.tlt_survey)
+    (row,) = verify.run_check_at("noc-classes", 5)
+    assert not row.match
+    assert row.actual == row.expected.replace("partition=ok", "partition=bad")
+    # the copy is the survey but for the dropped lane
+    assert planted.tlt_survey(5).class_weight["OneOne"] == {}
+    assert vars(planted.tlt_survey(5)) == vars(counting.tlt_survey(5)) | {
+        "class_weight": counting.tlt_survey(5).class_weight | {"OneOne": {}}
+    }

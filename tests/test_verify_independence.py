@@ -17,7 +17,9 @@ The report rows (`displacement-report`, `noc-conjecture-report`,
 """
 
 import functools
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,8 @@ from treelike import abpoly, counting, verify
 SURVEYS = {"treelike.counting.tlt_survey", "treelike.counting.pt_survey",
            "treelike.counting.perm_survey", "treelike.counting.perm_bi_counts",
            "treelike.counting.perm_cycle_dist"}
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
 # expected-jumps compares two rational expressions by cross-multiplying:
 # each side is one form's numerator times the other form's denominator, so
@@ -132,3 +136,22 @@ def test_traps_reach_every_binding():
             counting.perm_survey(3)
         with pytest.raises(Trapped):
             verify.perm_cycle_dist(3)
+
+
+def test_ci_runs_every_check_that_reads_tlt_survey():
+    # CI runs the checks whose actual side reads tlt_survey to size 10; its
+    # list must name exactly those, so a new one joins it
+    functions = _functions()
+    survey = {"treelike.counting.tlt_survey": functions["treelike.counting.tlt_survey"]}
+    readers = set()
+    for spec in verify.CHECKS:
+        with pytest.MonkeyPatch.context() as mp:
+            _clear_caches(functions)
+            _rebind(mp, survey, _trap)
+            try:
+                spec.actual(spec.min_n)
+            except Trapped:
+                readers.add(spec.name)
+    step = WORKFLOW.read_text().split("name: Tree-like-survey checks to size 10")[1]
+    listed = re.search(r"for c in ([^;]+);", step).group(1).split()
+    assert sorted(listed) == sorted(readers)
