@@ -720,6 +720,27 @@ def _perm_unrank(n: int, d: int, index: int) -> tuple[int, ...]:
     return tuple(p)
 
 
+@lru_cache(maxsize=512)
+def _piece_to_cycles(steps: str, rows: tuple[int, ...], stat, d: int) -> tuple:
+    return _cycles(_perm_unrank(len(steps) - 1, d, _piece_rank(steps, rows, (stat, d))))
+
+
+@lru_cache(maxsize=512)
+def _cycles_to_piece(stat, cycles: tuple) -> tuple[str, tuple[int, ...]]:
+    return _piece_unrank(stat, sum(map(len, cycles)), len(cycles), _perm_rank(cycles))
+
+
+@lru_cache(maxsize=512)
+def _tree_to_letters(h: int, w: int, tree: tuple[int, ...]) -> tuple[ColoredLetter, ...]:
+    # the word pairs with the transpose of the tree, ranked in place
+    return _word_unrank(h, w, filling_rank((w + 1,) * (h + 1), w + 1, transpose_bits(tree, h + 1)))
+
+
+@lru_cache(maxsize=512)
+def _letters_to_tree(h: int, w: int, word: tuple) -> tuple[int, ...]:
+    return transpose_bits(filling_unrank((w + 1,) * (h + 1), w + 1, _word_rank(h, w, word)), w + 1)
+
+
 def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
     """Cut at the corner, recode each piece by its rank, and substitute
     into a marked-run permutation.
@@ -736,19 +757,16 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
 
     The pieces, cycles and word stay rows and tuples: `filling_rank` checks
     each piece and the tree as their constructors would, and the
-    `MarkedRun` is the one object built."""
+    `MarkedRun` is the one object built. The recoding is cached per piece
+    and per tree, not per query (`_piece_to_cycles`, `_tree_to_letters`);
+    the cut and the `MarkedRun` are redone on every call, and a rejected
+    piece raises every time, as `lru_cache` stores no exception."""
     (steps_l, rows_l), (steps_r, rows_r), (_, tree) = _cut(t, corner)
     fr_l = first_row_points(rows_l)
     fc_r = first_col_points(rows_r)
-    l_rank = _piece_rank(steps_l, rows_l, (first_row_points, fr_l))
-    r_rank = _piece_rank(steps_r, rows_r, (first_col_points, fc_r))
-    l_cycles = _cycles(_perm_unrank(len(steps_l) - 1, fr_l, l_rank))
-    r_cycles = _cycles(_perm_unrank(len(steps_r) - 1, fc_r, r_rank))
-
-    # the word pairs with the transpose of the tree, ranked in place
-    rows = transpose_bits(tree, fr_l + 1)
-    index = filling_rank((fc_r + 1,) * (fr_l + 1), fc_r + 1, rows)
-    return _triplet_to_run(l_cycles, r_cycles, _word_unrank(fr_l, fc_r, index), fr_l, fc_r)
+    l_cycles = _piece_to_cycles(steps_l, rows_l, first_row_points, fr_l)
+    r_cycles = _piece_to_cycles(steps_r, rows_r, first_col_points, fc_r)
+    return _triplet_to_run(l_cycles, r_cycles, _tree_to_letters(fr_l, fc_r, tree), fr_l, fc_r)
 
 
 def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
@@ -757,10 +775,11 @@ def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
     `_piece_unrank`), and unrank the tree that pairs with the word
     (`_word_rank`, `filling_unrank`) straight into the rows of its
     transpose. Unranking emits only valid pieces, so the glued
-    `TreeLikeTableau` is the one object built and validated."""
+    `TreeLikeTableau` is the one object built and validated. The unranking
+    is cached per cycle tuple and per word (`_cycles_to_piece`,
+    `_letters_to_tree`); the split and the glue are redone on every call."""
     l_cycles, r_cycles, letters = _run_to_triplet(mr)
     h, w = len(l_cycles), len(r_cycles)
-    left = _piece_unrank(first_row_points, sum(map(len, l_cycles)), h, _perm_rank(l_cycles))
-    right = _piece_unrank(first_col_points, sum(map(len, r_cycles)), w, _perm_rank(r_cycles))
-    rows = filling_unrank((w + 1,) * (h + 1), w + 1, _word_rank(h, w, letters))
-    return _glue(left, right, (SOUTH * (w + 1) + WEST * (h + 1), transpose_bits(rows, w + 1)))
+    left = _cycles_to_piece(first_row_points, l_cycles)
+    right = _cycles_to_piece(first_col_points, r_cycles)
+    return _glue(left, right, (SOUTH * (w + 1) + WEST * (h + 1), _letters_to_tree(h, w, letters)))

@@ -14,7 +14,11 @@ from treelike.bijections import (
     CycleForm,
     MarkedRun,
     _cycles,
+    _cycles_to_piece,
+    _letters_to_tree,
     _permutation,
+    _piece_to_cycles,
+    _tree_to_letters,
     _valid_word,
     _word_unrank,
     corner_to_run,
@@ -376,8 +380,12 @@ class TestCornerRun:
                 real(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        for n in range(1, 6):
-            for t in list(enumerate_tlt(n)):
+        tableaux = [t for n in range(1, 6) for t in enumerate_tlt(n)]
+        for f in (_piece_to_cycles, _cycles_to_piece, _tree_to_letters, _letters_to_tree):
+            f.cache_clear()
+        # once with empty caches, once with the recodings cached
+        for _ in range(2):
+            for t in tableaux:
                 for c in t.path.corner_cells:
                     built.clear()
                     mr = corner_to_run(t, c)

@@ -364,7 +364,14 @@ def test_every_cache_is_bounded():
         for attr, obj in vars(module).items()
         if hasattr(obj, "cache_parameters")
     }
-    assert {"treelike.core._tlt_completions", "treelike.counting.stirling_row"} <= set(cached)
+    assert {
+        "treelike.core._tlt_completions",
+        "treelike.counting.stirling_row",
+        "treelike.bijections._piece_to_cycles",
+        "treelike.bijections._cycles_to_piece",
+        "treelike.bijections._tree_to_letters",
+        "treelike.bijections._letters_to_tree",
+    } <= set(cached)
     assert {name: size for name, size in cached.items() if size is None} == {}
 
 

@@ -35,12 +35,16 @@ from treelike.bijections import (
     CycleForm,
     MarkedRun,
     _cycles,
+    _cycles_to_piece,
+    _letters_to_tree,
     _perm_rank,
     _perm_unrank,
     _piece_paths,
     _piece_rank,
+    _piece_to_cycles,
     _permutation,
     _piece_unrank,
+    _tree_to_letters,
     _valid_word,
     _word_rank,
     _word_unrank,
@@ -73,6 +77,7 @@ from treelike.core import (
     stats_of,
     tlt_fillings,
     transpose,
+    transpose_bits,
 )
 from treelike.counting import stirling_row
 
@@ -269,6 +274,73 @@ def test_corner_to_run_matches_table_composition(n):
             mr = corner_to_run(t, corner)
             assert mr == table_corner_to_run(t, corner)
             assert run_to_corner(mr) == table_run_to_corner(mr) == (t, corner)
+
+
+ROUND_TRIP_CACHES = (_piece_to_cycles, _cycles_to_piece, _tree_to_letters, _letters_to_tree)
+
+
+def test_cached_round_trip_matches_tables_cold_and_warm():
+    # the round trip caches the recoding of each side piece and tree: from
+    # empty caches and again from full ones, both maps agree with the
+    # tables at every corner up to size 6
+    def sweep():
+        for n in range(1, 7):
+            for t in _tlts(n):
+                for corner in t.path.corner_cells:
+                    mr = corner_to_run(t, corner)
+                    assert mr == table_corner_to_run(t, corner)
+                    assert run_to_corner(mr) == table_run_to_corner(mr) == (t, corner)
+        return [f.cache_info() for f in ROUND_TRIP_CACHES]
+
+    for f in ROUND_TRIP_CACHES:
+        f.cache_clear()
+    cold = sweep()
+    warm = sweep()
+    # the bound holds every piece and tree up to size 6, so the warm pass
+    # read every recoding from the caches
+    assert all(c.currsize < c.maxsize for c in cold)
+    assert [w.misses for w in warm] == [c.misses for c in cold]
+    assert all(w.hits > c.hits for w, c in zip(warm, cold))
+
+
+def _raised(f, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        f(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("stat", STATS, ids=STAT_IDS)
+def test_rejected_piece_raises_on_every_call(stat):
+    # lru_cache stores no exception: a filling that filling_rank rejects
+    # raises the same error on every call, also right after a valid piece
+    # of the same shape filled the cache
+    path = BorderPath("SSWSWW")
+    lengths, width = path.row_lengths, path.num_cols
+    valid = set(tlt_fillings(lengths, width))
+    for rows in product(*(range(1 << lam) for lam in lengths)):
+        for d in range(1, 5):
+            if rows in valid and stat(rows) == d:
+                cycles = _piece_to_cycles(path.steps, rows, stat, d)
+                assert _piece_to_cycles(path.steps, rows, stat, d) == cycles
+                continue
+            message = _raised(filling_rank, lengths, width, rows, (stat, d))
+            for _ in range(2):
+                assert _raised(_piece_to_cycles, path.steps, rows, stat, d) == message
+
+
+def test_rejected_tree_raises_on_every_call():
+    # the tree has w + 1 rows of h + 1 cells; its transpose fills the (h, w) grid
+    h, w = 2, 1
+    lengths, _ = rect(w, h)
+    trees = {nat.tableau.rows for nat in enumerate_nat(w, h)}
+    for rows in product(*(range(1 << lam) for lam in lengths)):
+        if rows in trees:
+            letters = _tree_to_letters(h, w, rows)
+            assert _letters_to_tree(h, w, letters) == rows
+            continue
+        message = _raised(filling_rank, *rect(h, w), transpose_bits(rows, h + 1))
+        for _ in range(2):
+            assert _raised(_tree_to_letters, h, w, rows) == message
 
 
 # ---------------------------------------------------------------------------
