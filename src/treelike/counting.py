@@ -8,9 +8,10 @@ a tableau, and only the cycle count lists the permutations:
 - `tlt_survey` and `pt_survey` count the fillings of all border paths of
   one width in one pass, a transfer-matrix count over the lattice of path
   prefixes (`_lattice`; Stanley, Enumerative Combinatorics 1, section 4.7)
-  under the cell rules of `core.tlt_fillings`/`pt_fillings`, with integer
+  under the cell rules of `core.tlt_fillings`/`pt_fillings`, in integer
   lanes per (first-row, first-column) class for the fillings, corners,
-  occupied corners and undotted corners by class, each in its own lane;
+  occupied corners and undotted corners by class; `tlt_survey` walks only
+  the shapes no wider than tall and adds their transposes;
 - `perm_survey` sums the local permutation statistics with a positional DP
   over (values used, last value, last step descended), and `bi_counts` with
   an insertion DP that inserts 1, ..., n in turn;
@@ -299,7 +300,6 @@ class TltSurvey:
     class_weight: dict[str, dict[tuple[int, int], int]] = field(default_factory=dict)
     rows_weight: dict[tuple[int, int, int], int] = field(default_factory=dict)
     fc_dist: dict[int, int] = field(default_factory=dict)
-    transfer_delta_total: int = 0
 
 
 def _add(d: dict, key, x: int) -> None:
@@ -308,12 +308,13 @@ def _add(d: dict, key, x: int) -> None:
         d[key] = d.get(key, 0) + x
 
 
-def _lattice(k: int, w: int, tlt: bool) -> tuple[int, int, int, int]:
-    """(lanes, S, SW, WW): the fillings of every border path with k south
-    and w west steps that starts with a south step, tallied in lanes of
-    `lanes` bits by the path's end: rows without cells (S, never tree-like),
-    a south then a west step (SW), or two west steps (WW). Tree-like
-    fillings when `tlt`, else permutation-tableau fillings.
+def _lattice(k: int, w: int, tlt: bool) -> tuple[int, int, int]:
+    """(lanes, S, W): the fillings of every border path with k south and w
+    west steps that starts with a south step, tallied in lanes of `lanes`
+    bits by the path's last step: S (a last row without cells, never
+    tree-like) or W. Tree-like fillings when `tlt`, else permutation-tableau
+    fillings. A state keeps bits per live column, so the states grow with
+    w; `tlt_survey` walks only the shapes with k >= w.
 
     A transfer-matrix count over the lattice of path prefixes (Stanley,
     Enumerative Combinatorics 1, section 4.7): node (s, t) holds the states
@@ -377,7 +378,7 @@ def _lattice(k: int, w: int, tlt: bool) -> tuple[int, int, int, int]:
     # row that a south step must follow) or with a west step
     south, west = [None] * (w + 1), [None] * (w + 1)
     south[0] = {0: 1}
-    ends_s = ends_sw = 0
+    ends_s = 0
     for s in range(k + 1):
         for t in range(1, w):  # a west step after a west step
             src = west[t]
@@ -441,49 +442,46 @@ def _lattice(k: int, w: int, tlt: bool) -> tuple[int, int, int, int]:
                             on[to] = on_get(to, 0) + v
                         to = key & retire
                         cornered[to] = cornered_get(to, 0) + v + (v & fill) * occupied
-            south_on[t] = on
-            if go_on or t + 1 < w:
-                west_on[t + 1] = cornered
-            else:
-                ends_sw = sum(cornered.values())
+            south_on[t], west_on[t + 1] = on, cornered
         south, west = south_on, west_on
-    return lanes, ends_s, ends_sw, sum(ends)
+    return lanes, ends_s, sum(ends)
 
 
 @lru_cache(maxsize=64)
 def tlt_survey(n: int) -> TltSurvey:
-    """All tree-like tableaux of size n, tallied width by width from
-    `_lattice`: a tableau of width w has n + 1 - w rows, and its path ends
-    with a west step. `transfer_delta_total` counts those whose path ends
-    with a south then a west step."""
+    """All tree-like tableaux of size n, tallied from `_lattice` for each
+    shape of w columns and k = n + 1 - w >= w rows. Tree-like tableaux are
+    closed under transposition ([ABN]; `core.transpose`), so a tally with
+    k > w rows is added again for the transposed shape, w rows of k
+    columns, with the first-row and first-column dots swapped and the
+    classes A1 and 1B too (the column and row tests of `core.noc_class`
+    swap)."""
     if n < 1:
         raise ValueError("size must be positive")
     s = TltSurvey()
     s.class_weight = {c: {} for c in NOC_CLASSES}
-    for w in range(1, n + 1):
+    for w in range(1, (n + 1) // 2 + 1):
         k = n + 1 - w
-        lanes, _, sw, ww = _lattice(k, w, True)
+        lanes, _, total = _lattice(k, w, True)
         lane = (1 << lanes) - 1
-        total = sw + ww
-        for fr in range(1, w + 1):
-            for fc in range(1, k + 1):
-                count = total & lane
-                if count:
-                    corners, occ = total >> lanes & lane, total >> 2 * lanes & lane
-                    key = (fr - 1, fc - 1)
+        for top in range(w):
+            for left in range(k):
+                count, corners, occ = (total >> i * lanes & lane for i in range(3))
+                shapes = [(k, (top, left), NOC_CLASSES)]
+                if k > w:
+                    shapes.append((w, (left, top), ("AB", "1B", "A1", "OneOne")))
+                for rows, key, classes in shapes:
                     s.count += count
                     s.corners_total += corners
                     s.occupied_total += occ
                     _add(s.weight, key, count)
-                    _add(s.fc_dist, fc, count)
-                    _add(s.rows_weight, (k,) + key, count)
+                    _add(s.fc_dist, key[1] + 1, count)
+                    _add(s.rows_weight, (rows,) + key, count)
                     _add(s.occ_weight, key, occ)
                     _add(s.noc_weight, key, corners - occ)
-                    for i, name in enumerate(NOC_CLASSES, 3):
+                    for i, name in enumerate(classes, 3):
                         _add(s.class_weight[name], key, total >> i * lanes & lane)
-                s.transfer_delta_total += sw & lane
                 total >>= 7 * lanes
-                sw >>= 7 * lanes
     s.noc_total = s.corners_total - s.occupied_total
     return s
 
@@ -504,9 +502,9 @@ def pt_survey(n: int) -> PtSurvey:
         raise ValueError("length must be positive")
     s = PtSurvey()
     for w in range(n):
-        lanes, south, sw, ww = _lattice(n - w, w, False)
+        lanes, south, west = _lattice(n - w, w, False)
         lane = (1 << lanes) - 1
-        total = south + sw + ww
+        total = south + west
         s.count += total & lane
         s.corners_total += total >> lanes
         s.last_south += south & lane

@@ -76,13 +76,12 @@ def _bi_actual(n):
 
 
 def _corner_transfer_sweep(n):
-    mismatches = 0
+    mismatches = lost = 0
     for t in enumerate_tlt(n):
-        before = len(t.path.corner_cells)
-        after = len(bijections.tlt_to_pt(t).path.corner_cells)
-        if before - after != bijections.corner_transfer_delta(t):
-            mismatches += 1
-    return f"{mismatches};{tlt_survey(n).transfer_delta_total}"
+        loss = len(t.path.corner_cells) - len(bijections.tlt_to_pt(t).path.corner_cells)
+        mismatches += loss != bijections.corner_transfer_delta(t)
+        lost += loss
+    return f"{mismatches};{lost}"
 
 
 def _phi_roundtrip_sweep(n):
@@ -322,7 +321,8 @@ def run_checks(
     """Run the named checks over their size ranges; rows come back in
     registry order, sizes ascending, regardless of worker scheduling.
     With `jobs` > 1 and more than one (check, n) task, the tasks run in a
-    process pool of at most one worker per task."""
+    process pool of at most one worker per task, the largest sizes first,
+    since they take longest."""
     tasks = sorted(
         (CHECK_NAMES.index(name), n)
         for name in set(names)
@@ -335,8 +335,10 @@ def run_checks(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        largest_first = sorted(tasks, key=lambda task: -task[1])
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_task, tasks))
+            done = dict(zip(largest_first, pool.map(_task, largest_first)))
+        results = map(done.get, tasks)
     else:
         results = map(_task, tasks)
     return [row for rows in results for row in rows]

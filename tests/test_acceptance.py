@@ -80,12 +80,14 @@ def test_c03_occupied_and_nonoccupied_totals():
 
 def test_c04_corner_transfer_and_last_position():
     for n in range(1, 8):
+        lost = 0
         for t in enumerate_tlt(n):
             d = bijections.corner_transfer_delta(t)
             assert d in (0, 1)
             assert len(t.path.corner_cells) - len(tlt_to_pt(t).path.corner_cells) == d
+            lost += d
+        assert lost == factorial(n - 1)
     for n in range(1, 9):
-        assert tlt_survey(n).transfer_delta_total == factorial(n - 1)
         assert counting.xn_count(n) == factorial(n - 1)
         assert counting.tlt_corner_count(n) == counting.pt_corner_count(n) + counting.xn_count(n)
         assert corner_positions(n, "tlt").get(n, 0) == factorial(n - 1)

@@ -175,6 +175,33 @@ class TestVerify:
         _, parallel, _ = run_cli(capsys, "verify", "--max-n", "5", "--jobs", "2")
         assert strip_elapsed(serial) == strip_elapsed(parallel)
 
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """A recording stand-in for the process pool, so that no process
+        starts: the worker counts it is built with and the tasks it gets."""
+        record = {"built": [], "handed": []}
+
+        class FakePool:
+            def __init__(self, max_workers):
+                record["built"].append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                record["handed"].extend(tasks)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        return record
+
+    @staticmethod
+    def strip(rows):
+        return [(r.check, r.n, r.expected, r.actual, r.match) for r in rows]
+
     @pytest.mark.parametrize(
         "check, max_n, jobs, workers",
         [
@@ -184,31 +211,20 @@ class TestVerify:
             ("noc-conjecture", 4, 8, 2),  # min_n 3: two tasks
         ],
     )
-    def test_pool_gets_one_worker_per_task_at_most(
-        self, monkeypatch, check, max_n, jobs, workers
-    ):
-        # a recording stand-in for the pool, so that no process starts
-        built = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = map
-
-        def strip(rows):
-            return [(r.check, r.n, r.expected, r.actual, r.match) for r in rows]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    def test_pool_gets_one_worker_per_task_at_most(self, pool, check, max_n, jobs, workers):
         pooled = verify.run_checks([check], max_n=max_n, jobs=jobs)
-        assert built == ([] if workers is None else [workers])
-        assert strip(pooled) == strip(verify.run_checks([check], max_n=max_n))
+        assert pool["built"] == ([] if workers is None else [workers])
+        assert self.strip(pooled) == self.strip(verify.run_checks([check], max_n=max_n))
+
+    def test_pool_gets_the_largest_sizes_first(self, pool):
+        # the pool starts the long tasks first; the rows still come back in
+        # registry order, sizes ascending
+        checks = ["noc-conjecture", "corners-tlt", "runs1"]
+        pooled = verify.run_checks(checks, max_n=5, jobs=2)
+        sizes = [n for _, n in pool["handed"]]
+        assert sizes == sorted(sizes, reverse=True) and len(sizes) == 13
+        assert self.strip(pooled) == self.strip(verify.run_checks(checks, max_n=5))
+        assert [r.check for r in pooled][:5] == ["corners-tlt"] * 5
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         bad = verify.Row(

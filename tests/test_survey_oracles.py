@@ -11,8 +11,9 @@ before the lattice, which sum one frontier DP per border path
 per-permutation pass that `perm_survey` was; and the tuple-keyed tally DP
 that `tlt_filling_tallies` was. They are kept here as oracles, and every
 field of every survey must agree with them wherever both run. The sweeps also return the tallies that the surveys do not keep (the
-corners by position, the first-row distribution and the permutations that
-end in n), which are set against `oracles.corner_positions`,
+corners by position, the first-row distribution, the permutations that
+end in n and the tree-like tableaux whose path ends with a south then a
+west step), which are set against `oracles.corner_positions`,
 `oracles.first_row_dist` and (n - 1)!.
 """
 
@@ -20,7 +21,7 @@ import inspect
 import math
 import sys
 import types
-from itertools import permutations
+from itertools import permutations, product
 from operator import add
 
 import pytest
@@ -216,10 +217,12 @@ def tuple_tlt_filling_tallies(lengths, width):
 
 
 def sweep_tlt_survey(n):
-    """(TltSurvey, corners by row label, first-row distribution)."""
+    """(TltSurvey, corners by row label, first-row distribution, tableaux
+    whose path ends with a south then a west step)."""
     s = TltSurvey()
     s.class_weight = {c: {} for c in NOC_CLASSES}
     corner_pos, fr_dist = {}, {}
+    transfer_delta = 0
     for steps in _tlt_paths(n):
         path = BorderPath(steps)
         lengths = path.row_lengths
@@ -231,7 +234,7 @@ def sweep_tlt_survey(n):
         for rows in tlt_fillings(lengths, width):
             s.count += 1
             s.corners_total += len(cpos)
-            s.transfer_delta_total += delta
+            transfer_delta += delta
             fr = first_row_points(rows)
             fc = first_col_points(rows)
             key = (fr - 1, fc - 1)
@@ -254,7 +257,7 @@ def sweep_tlt_survey(n):
                 s.occ_weight[key] = s.occ_weight.get(key, 0) + occ
             if len(cpos) - occ:
                 s.noc_weight[key] = s.noc_weight.get(key, 0) + len(cpos) - occ
-    return s, corner_pos, fr_dist
+    return s, corner_pos, fr_dist, transfer_delta
 
 
 def sweep_pt_survey(n):
@@ -277,13 +280,15 @@ def sweep_pt_survey(n):
 
 
 def path_tlt_survey(n):
-    """`tlt_survey` summed path by path: each border path's fillings by
-    first-row and first-column dots, with their undotted corners by class,
-    from `tlt_filling_tallies`. The corner and transfer fields are constants
-    of the path times its count, and a path's occupied corners are its
-    corners less the undotted ones."""
+    """(`tlt_survey` summed path by path, tableaux whose path ends with a
+    south then a west step): each border path's fillings by first-row and
+    first-column dots, with their undotted corners by class, from
+    `tlt_filling_tallies`. The corners and the path's end are constants of
+    the path times its count, and a path's occupied corners are its corners
+    less the undotted ones."""
     s = TltSurvey()
     s.class_weight = {c: {} for c in NOC_CLASSES}
+    transfer_delta = 0
     for steps in _tlt_paths(n):
         path = BorderPath(steps)
         k = path.num_rows
@@ -295,7 +300,7 @@ def path_tlt_survey(n):
             s.corners_total += ncor * cnt
             s.noc_total += noc
             if steps[n - 1] == SOUTH:
-                s.transfer_delta_total += cnt
+                transfer_delta += cnt
             for d, dkey, x in (
                 (s.weight, key, cnt),
                 (s.fc_dist, fc, cnt),
@@ -307,7 +312,7 @@ def path_tlt_survey(n):
                 if x:
                     d[dkey] = d.get(dkey, 0) + x
     s.occupied_total = s.corners_total - s.noc_total
-    return s
+    return s, transfer_delta
 
 
 def path_pt_survey(n):
@@ -341,10 +346,11 @@ def swept_tallies(path):
 
 
 def _tlt_survey_equals_the_sweep(n):
-    survey, corner_pos, fr_dist = sweep_tlt_survey(n)
+    survey, corner_pos, fr_dist, transfer_delta = sweep_tlt_survey(n)
     assert vars(tlt_survey(n)) == vars(survey)
     assert corner_pos == corner_positions(n, "tlt")
     assert fr_dist == first_row_dist(n)
+    assert transfer_delta == math.factorial(n - 1)
 
 
 def _perm_survey_equals_the_fused_pass(n):
@@ -374,7 +380,9 @@ def test_tlt_survey_equals_the_sweep_n9():
 
 
 def _surveys_equal_the_path_sums(n):
-    assert vars(tlt_survey(n)) == vars(path_tlt_survey(n)), n
+    survey, transfer_delta = path_tlt_survey(n)
+    assert vars(tlt_survey(n)) == vars(survey), n
+    assert transfer_delta == math.factorial(n - 1), n
     assert vars(pt_survey(n)) == vars(path_pt_survey(n)), n
 
 
@@ -438,13 +446,60 @@ def test_lane_dp_equals_the_tuple_dp_n9():
     _paths_agree_with_the_tuple_dp(9)
 
 
-def test_tlt_survey_n10_without_a_sweep():
-    s = tlt_survey(10)
-    assert s.count == math.factorial(10)
-    assert s.fc_dist == first_row_dist(10) == stirling_row(10)
-    assert s.corners_total == tlt_corner_count(10)
-    assert s.noc_total == noc_count(10)
-    assert s.transfer_delta_total == math.factorial(9)
+def test_tlt_survey_n10_to_n12_without_a_sweep():
+    # no oracle runs past 11 in the slow tier; the first-row distribution
+    # of the per-path count DP takes over a second at 12, so it runs at 10
+    assert tlt_survey(10).fc_dist == first_row_dist(10)
+    for n in (10, 11, 12):
+        s = tlt_survey(n)
+        assert s.count == math.factorial(n)
+        assert s.fc_dist == stirling_row(n)
+        assert s.corners_total == tlt_corner_count(n)
+        assert s.noc_total == noc_count(n)
+
+
+def _lattice_blocks(k, w):
+    """{(fr - 1, fc - 1): (fillings, corners, occupied, AB, A1, 1B, OneOne)}
+    of the tree-like tableaux with k rows and w columns, read off
+    `counting._lattice`'s lanes for the paths that end with a west step."""
+    lanes, _, total = counting._lattice(k, w, True)
+    lane = (1 << lanes) - 1
+    out = {}
+    for key in product(range(w), range(k)):
+        tally = tuple(total >> i * lanes & lane for i in range(7))
+        if any(tally):
+            out[key] = tally
+        total >>= 7 * lanes
+    assert total == 0
+    return out
+
+
+def test_lattice_tallies_are_closed_under_transposition():
+    # tlt_survey walks only the shapes with at least as many rows as
+    # columns and adds each tally again for the transpose: the first-row
+    # and first-column dots swap, and so do the classes A1 and 1B
+    for k in range(1, 10):
+        for w in range(1, 11 - k):
+            tall = _lattice_blocks(k, w)
+            wide = _lattice_blocks(w, k)
+            mirrored = {
+                (left, top): (count, corners, occ, ab, b1, a1, one)
+                for (top, left), (count, corners, occ, ab, a1, b1, one) in wide.items()
+            }
+            assert tall == mirrored, (k, w)
+            assert sum(t[0] for t in tall.values()) > 0, (k, w)
+
+
+def _planted_counting(monkeypatch, line, replacement):
+    """A copy of `counting` with `line` replaced, bound as abpoly's survey."""
+    source = inspect.getsource(counting)
+    assert source.count(line) == 1
+    planted = types.ModuleType("treelike.planted_counting")
+    planted.__package__ = "treelike"
+    monkeypatch.setitem(sys.modules, planted.__name__, planted)
+    exec(compile(source.replace(line, replacement), counting.__file__, "exec"), vars(planted))
+    monkeypatch.setattr(abpoly, "tlt_survey", planted.tlt_survey)
+    return planted
 
 
 def test_planted_class_drop_fails_noc_classes(monkeypatch):
@@ -452,15 +507,8 @@ def test_planted_class_drop_fails_noc_classes(monkeypatch):
     # corners and the occupied corners have lanes of their own, so the four
     # classes no longer add up to the undotted corners, and only the
     # partition part of the row can see it (OneOne has no closed form)
-    source = inspect.getsource(counting)
     line = "classes = [corner | 1 << (3 + i) * lanes for i in range(4)]"
-    assert source.count(line) == 1
-    planted = types.ModuleType("treelike.planted_counting")
-    planted.__package__ = "treelike"
-    monkeypatch.setitem(sys.modules, planted.__name__, planted)
-    dropped = line.replace("range(4)]", "range(3)] + [corner]")
-    exec(compile(source.replace(line, dropped), counting.__file__, "exec"), vars(planted))
-    monkeypatch.setattr(abpoly, "tlt_survey", planted.tlt_survey)
+    planted = _planted_counting(monkeypatch, line, line.replace("range(4)]", "range(3)] + [corner]"))
     (row,) = verify.run_check_at("noc-classes", 5)
     assert not row.match
     assert row.actual == row.expected.replace("partition=ok", "partition=bad")
@@ -469,3 +517,19 @@ def test_planted_class_drop_fails_noc_classes(monkeypatch):
     assert vars(planted.tlt_survey(5)) == vars(counting.tlt_survey(5)) | {
         "class_weight": counting.tlt_survey(5).class_weight | {"OneOne": {}}
     }
+
+
+def test_planted_unswapped_transpose_fails_noc_classes(monkeypatch):
+    # a copy of `counting` that adds a transposed shape's undotted corners
+    # under the classes of the shape it walked: the partition still holds,
+    # but the weights of A1 and 1B are wrong from n = 4, the first size
+    # where either has a nonzero closed form
+    swapped = '("AB", "1B", "A1", "OneOne")'
+    line = f"shapes.append((w, (left, top), {swapped}))"
+    planted = _planted_counting(monkeypatch, line, line.replace(swapped, "NOC_CLASSES"))
+    rows = [verify.run_check_at("noc-classes", n)[0] for n in range(3, 6)]
+    assert [row.match for row in rows] == [True, False, False]
+    assert rows[1].actual.endswith(";partition=ok")
+    # only the class weights differ from the survey
+    survey = vars(counting.tlt_survey(4))
+    assert vars(planted.tlt_survey(4)) | {"class_weight": survey["class_weight"]} == survey

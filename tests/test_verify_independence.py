@@ -139,8 +139,9 @@ def test_traps_reach_every_binding():
 
 
 def test_ci_runs_every_check_that_reads_tlt_survey():
-    # CI runs the checks whose actual side reads tlt_survey to size 10; its
-    # list must name exactly those, so a new one joins it
+    # CI runs the checks whose actual side reads tlt_survey to size 12, but
+    # stirling, which lists n! permutations, to size 10; its lists must name
+    # exactly those, so a new one joins them
     functions = _functions()
     survey = {"treelike.counting.tlt_survey": functions["treelike.counting.tlt_survey"]}
     readers = set()
@@ -152,6 +153,10 @@ def test_ci_runs_every_check_that_reads_tlt_survey():
                 spec.actual(spec.min_n)
             except Trapped:
                 readers.add(spec.name)
-    step = WORKFLOW.read_text().split("name: Tree-like-survey checks to size 10")[1]
-    listed = re.search(r"for c in ([^;]+);", step).group(1).split()
-    assert sorted(listed) == sorted(readers)
+    listed = {}
+    for size, name in ((12, "Tree-like-survey checks"), (10, "Sweeps of n! objects")):
+        step = WORKFLOW.read_text().split(f"name: {name} to size {size}\n")[1]
+        assert f"--max-n {size} " in step.split("- name:")[0]
+        listed[size] = re.search(r"for c in ([^;]+);", step).group(1).split()
+    assert sorted(listed[12] + ["stirling"]) == sorted(readers)
+    assert listed[10] == ["stirling", "corner-transfer"]
