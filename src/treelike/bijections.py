@@ -32,8 +32,9 @@ from .core import (
     filling_unrank,
     first_col_points,
     first_row_points,
-    tlt_dot_counts,
+    tlt_first_row_counts,
     transpose_bits,
+    transpose_steps,
 )
 from .counting import stirling_row
 
@@ -592,15 +593,19 @@ def _piece_paths(k: int) -> tuple[tuple[BorderPath, ...], dict, dict]:
     `enumerate_tlt` order, each path's position by its steps, and for each
     (stat, d), stat `first_row_points` or `first_col_points`, the prefix
     sums over the paths of the tableaux with stat d, so entry i counts
-    those on earlier paths. Read off the per-path counts of
-    `tlt_dot_counts`, 2^(k-1) of them."""
+    those on earlier paths. Read off the per-path first-row counts of
+    `tlt_first_row_counts`, 2^(k-1) of them: transposing a tableau swaps
+    its first row and first column ([ABN]), so a path's first-column
+    counts are the first-row counts of its transposed path."""
     paths = tuple(BorderPath(steps) for steps in _tlt_paths(k))
+    index = {path.steps: i for i, path in enumerate(paths)}
+    by_fr = [tlt_first_row_counts(path.row_lengths, path.num_cols) for path in paths]
     counts = defaultdict(lambda: [0] * len(paths))
     for i, path in enumerate(paths):
-        for (fr, fc), count in tlt_dot_counts(path.row_lengths, path.num_cols).items():
-            for key in ((first_row_points, fr), (first_col_points, fc)):
-                counts[key][i] += count
-    index = {path.steps: i for i, path in enumerate(paths)}
+        j = index[transpose_steps(path.steps)]
+        for stat, by_d in ((first_row_points, by_fr[i]), (first_col_points, by_fr[j])):
+            for d, count in by_d.items():
+                counts[stat, d][i] += count
     return paths, index, {key: list(accumulate(c, initial=0)) for key, c in counts.items()}
 
 

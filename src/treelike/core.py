@@ -298,8 +298,13 @@ def _noc_class_at(rows: tuple[int, ...], r: int, c: int) -> str:
 
 def transpose(t: TreeLikeTableau) -> TreeLikeTableau:
     """Reflect across the main diagonal; swaps rows with columns."""
-    steps = "".join(SOUTH if ch == WEST else WEST for ch in reversed(t.path.steps))
+    steps = transpose_steps(t.path.steps)
     return TreeLikeTableau(BorderPath(steps), transpose_bits(t.rows, t.path.num_cols))
+
+
+def transpose_steps(steps: str) -> str:
+    """The border steps of the reflected diagram: reversed, S and W swapped."""
+    return "".join(SOUTH if ch == WEST else WEST for ch in reversed(steps))
 
 
 def transpose_bits(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
@@ -428,66 +433,53 @@ def pt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...
 
 
 @lru_cache(maxsize=2048)
-def _tlt_completions(
-    lengths: tuple[int, ...], width: int, dots: tuple | None = None
-) -> tuple[tuple, list]:
-    """(moves, table) for the tree-like fillings of a shape: the cell moves
-    of `_cell_moves` and, per position, {state key: (n, n_empty, empty,
-    filled)} over the states the walk reaches. From the state, `n` fillings
-    complete and `n_empty` of them leave the cell empty; `empty` and
-    `filled` are the keys after the cell, None where its rule forbids that
-    branch. One forward pass finds the states and their successors and one
-    backward pass counts, so rank and unrank only read the table.
+def _tlt_completions(lengths: tuple[int, ...], width: int, stat=None) -> tuple[tuple, int, list]:
+    """(steps, lane, table) for the tree-like fillings of a shape, one per
+    shape and statistic: `stat` `first_row_points` or `first_col_points`
+    counts the dots of the first row or the first column, None counts none.
 
-    `dots` = (stat, d), with stat `first_row_points` or `first_col_points`,
-    keeps only the fillings with exactly d dots in the first row or the
-    first column: the key counts those dots above its column bits, and a
-    branch that leaves more than d, or too few cells to reach d, counts as
-    forbidden."""
+    `steps` holds, per cell move of `_cell_moves`, (r, bit, counted, after):
+    whether stat counts the cell's dot, and how many counted cells follow
+    it. `table` holds, per position, {state key: (n, n_empty, empty,
+    filled)} over the states the walk reaches. From the state, lane j of `n`
+    (`lane` bits from j * lane up) counts the fillings that complete with j
+    more counted dots, and `n_empty` those that leave the cell empty;
+    `empty` and `filled` are the keys after the cell, None where its rule
+    forbids that branch. One forward pass finds the states and their
+    successors and one backward pass counts, shifting the filled branch up
+    a lane at a counted cell, so rank and unrank only read the table. A
+    lane counts at most 2^cells fillings."""
     moves = _cell_moves(lengths, _TLT_RULES)
-    stat, d = dots or (None, 0)
-    one = 1 << (width + 1)  # a counted dot adds this to the key
     counted = [
         (stat is first_row_points and r == 0) or (stat is first_col_points and bit == 2)
         for r, bit, _, _ in moves
     ]
-    left = sum(counted)
+    steps = []
+    after = sum(counted)
     table: list = []
     keys = {0}
     for (r, bit, may, end), c in zip(moves, counted):
-        left -= c
-        dot = one if c else 0
-        low, high = (d - left) * one, (d + 1) * one  # the keys that can still end at d
+        after -= c
+        steps.append((r, bit, c, after))
         here: dict = {}
-        nxt = set()
         for key in keys:
             ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
-            empty = filled = None
-            if ok & _EMPTY:
-                empty = key & ~1 if end else key
-                if low <= empty:
-                    nxt.add(empty)
-                else:
-                    empty = None
-            if ok & _FILLED:
-                filled = ((key | bit) & ~1 if end else key | bit | 1) + dot
-                if low <= filled < high:
-                    nxt.add(filled)
-                else:
-                    filled = None
+            empty = (key & ~1 if end else key) if ok & _EMPTY else None
+            filled = ((key | bit) & ~1 if end else key | bit | 1) if ok & _FILLED else None
             here[key] = (empty, filled)
         table.append(here)
-        keys = nxt
-    done = ((1 << width) - 1) << 1 | d * one
+        keys = {key for branches in here.values() for key in branches if key is not None}
+    done = ((1 << width) - 1) << 1
     table.append({key: (1 if key == done else 0,) for key in keys})
+    lane = len(moves) + 1
     for p in range(len(moves) - 1, -1, -1):
-        after, here = table[p + 1], table[p]
+        after_cell, here = table[p + 1], table[p]
         for key, (empty, filled) in here.items():
-            n = n_empty = 0 if empty is None else after[empty][0]
+            n = n_empty = 0 if empty is None else after_cell[empty][0]
             if filled is not None:
-                n += after[filled][0]
+                n += after_cell[filled][0] << lane * counted[p]
             here[key] = (n, n_empty, empty, filled)
-    return moves, table
+    return tuple(steps), lane, table
 
 
 def filling_rank(
@@ -496,31 +488,36 @@ def filling_rank(
     """The position of a filling among `tlt_fillings(lengths, width)`,
     counted from 0, found by summing the completions of every empty branch
     the filling passes over. With `dots` = (stat, d) only the fillings with
-    stat d count. Raises ValueError when the tree-like rules reject the
-    filling, or when its stat is not d."""
-    moves, table = _tlt_completions(lengths, width, dots)
+    stat d count: each cell reads the lane of the counted dots still to
+    place, and a branch that leaves more than d of them, or too few counted
+    cells to reach d, counts as forbidden. Raises ValueError when the
+    tree-like rules reject the filling, or when its stat is not d."""
+    stat, d = dots or (None, 0)  # from here on, d counts the dots still to place
+    steps, lane, table = _tlt_completions(lengths, width, stat)
     if len(rows) != len(lengths):
         raise ValueError("row count does not match the shape")
     # a negative mask shifts to -1, so one pass finds it too
     if any(map(rshift, rows, lengths)):
         raise ValueError("dot outside its row")
+    mask = (1 << lane) - 1
     rank = key = 0
-    for (r, bit, _, _), here in zip(moves, table):
+    for (r, bit, counted, after), here in zip(steps, table):
         _, n_empty, empty, filled = here[key]
         if rows[r] << 1 & bit:
-            if filled is None:
+            if filled is None or not counted <= d <= after + counted:
                 raise ValueError(
                     f"cell at row {r + 1}, column index {bit.bit_length() - 2} may not hold a dot"
                 )
-            rank += n_empty
+            rank += n_empty >> d * lane & mask
             key = filled
-        elif empty is None:
+            d -= counted
+        elif empty is None or not 0 <= d <= after:
             raise ValueError(
                 f"cell at row {r + 1}, column index {bit.bit_length() - 2} must hold a dot"
             )
         else:
             key = empty
-    if not table[-1][key][0]:
+    if d or not table[-1][key][0]:
         raise ValueError("some column has no dot")
     return rank
 
@@ -531,37 +528,40 @@ def filling_unrank(
     """The filling at position `index` of `tlt_fillings(lengths, width)`,
     or of those with stat d when `dots` = (stat, d), one bitmask per row,
     built cell by cell: the empty branch when `index` is below the number
-    of fillings through it, else a dot, with those fillings skipped."""
-    moves, table = _tlt_completions(lengths, width, dots)
-    if not 0 <= index < table[0][0][0]:
+    of fillings through it with the counted dots still to place, else a
+    dot, with those fillings skipped."""
+    stat, d = dots or (None, 0)  # from here on, d counts the dots still to place
+    steps, lane, table = _tlt_completions(lengths, width, stat)
+    mask = (1 << lane) - 1
+    if d < 0 or not 0 <= index < table[0][0][0] >> d * lane & mask:
         raise ValueError(f"no filling at index {index}")
     rows = [0] * len(lengths)
     key = 0
-    for (r, bit, _, _), here in zip(moves, table):
+    for (r, bit, counted, _), here in zip(steps, table):
         _, n_empty, empty, filled = here[key]
-        if index < n_empty:
+        n = n_empty >> d * lane & mask
+        if index < n:
             key = empty
         else:
-            index -= n_empty
+            index -= n
             rows[r] |= bit >> 1
             key = filled
+            d -= counted
     return tuple(rows)
 
 
-def tlt_dot_counts(lengths: tuple[int, ...], width: int) -> dict[tuple[int, int], int]:
+def tlt_first_row_counts(lengths: tuple[int, ...], width: int) -> dict[int, int]:
     """The tree-like fillings of a shape, counted without listing them:
-    {(first-row dots, first-column dots): fillings}. A frontier DP over the
-    moves of `_cell_moves` whose value holds a lane per (fr, fc), the lane
-    of (fr, fc) at index (fr - base) * n_fc + fc - base (base 0 when row 0
-    has no cells, so no root), so a filled cell in row 0 or column 0 shifts
-    it up n_fc lanes or one. A lane counts at most 2^cells fillings."""
+    {first-row dots: fillings}. A frontier DP over the moves of
+    `_cell_moves` whose value holds a lane per first-row count, so a filled
+    cell in row 0 shifts it up one lane. A lane counts at most 2^cells
+    fillings. The first-column counts of a shape are the first-row counts
+    of its transpose (`transpose_steps`)."""
     moves = _cell_moves(lengths, _TLT_RULES)
-    lanes = sum(lengths) + 1
-    base = 1 if lengths[0] else 0
-    n_fc = len(lengths) - lengths.count(0) + 1 - base
+    lane = len(moves) + 1
     states = {0: 1}
     for r, bit, may, end in moves:
-        shift = (0 if bit == 2 else n_fc * lanes) if r == 0 else (lanes if bit == 2 else 0)
+        shift = 0 if r else lane
         nxt: dict[int, int] = {}
         get = nxt.get
         for key, v in states.items():
@@ -574,14 +574,8 @@ def tlt_dot_counts(lengths: tuple[int, ...], width: int) -> dict[tuple[int, int]
                 nxt[to] = get(to, 0) + (v << shift)
         states = nxt
     total = states.get(((1 << width) - 1) << 1, 0)
-    lane = (1 << lanes) - 1
-    out = {}
-    for fr in range(base, lengths[0] + 1):
-        for fc in range(base, base + n_fc):
-            if total & lane:
-                out[(fr, fc)] = total & lane
-            total >>= lanes
-    return out
+    counts = {fr: total >> fr * lane & (1 << lane) - 1 for fr in range(lengths[0] + 1)}
+    return {fr: count for fr, count in counts.items() if count}
 
 
 def enumerate_tlt(n: int) -> Iterator[TreeLikeTableau]:

@@ -54,9 +54,11 @@ def dot_cells(t: TreeLikeTableau) -> frozenset[Cell]:
 
 def filling_count(lengths: tuple[int, ...], width: int, dots: tuple | None = None) -> int:
     """How many fillings `tlt_fillings(lengths, width)` yields; with `dots`
-    = (stat, d), how many of them have stat d: the count at the start of
-    the completion table that rank and unrank walk."""
-    return _tlt_completions(lengths, width, dots)[1][0][0][0]
+    = (stat, d), how many of them have stat d: lane d of the count at the
+    start of the completion table that rank and unrank walk."""
+    stat, d = dots or (None, 0)
+    _, lane, table = _tlt_completions(lengths, width, stat)
+    return table[0][0][0] >> d * lane & ((1 << lane) - 1) if d >= 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,45 @@ def tlt_filling_tallies(lengths: tuple[int, ...], width: int) -> dict:
                     total >> l4 & lane,
                 )
             total >>= block
+    return out
+
+
+def tlt_dot_counts(lengths: tuple[int, ...], width: int) -> dict[tuple[int, int], int]:
+    """The tree-like fillings of a shape, counted without listing them:
+    {(first-row dots, first-column dots): fillings}. A frontier DP over the
+    moves of `_cell_moves` whose value holds a lane per (fr, fc), the lane
+    of (fr, fc) at index (fr - base) * n_fc + fc - base (base 0 when row 0
+    has no cells, so no root), so a filled cell in row 0 or column 0 shifts
+    it up n_fc lanes or one. A lane counts at most 2^cells fillings. The
+    offsets of `bijections._piece_paths` sum these per path, stat by stat;
+    it tallies the first-row dots alone (`core.tlt_first_row_counts`) and
+    reads the first-column dots off the transposed path."""
+    moves = _cell_moves(lengths, _TLT_RULES)
+    lanes = sum(lengths) + 1
+    base = 1 if lengths[0] else 0
+    n_fc = len(lengths) - lengths.count(0) + 1 - base
+    states = {0: 1}
+    for r, bit, may, end in moves:
+        shift = (0 if bit == 2 else n_fc * lanes) if r == 0 else (lanes if bit == 2 else 0)
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, v in states.items():
+            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
+            if ok & _EMPTY:
+                to = key & ~1 if end else key
+                nxt[to] = get(to, 0) + v
+            if ok & _FILLED:
+                to = (key | bit) & ~1 if end else key | bit | 1
+                nxt[to] = get(to, 0) + (v << shift)
+        states = nxt
+    total = states.get(((1 << width) - 1) << 1, 0)
+    lane = (1 << lanes) - 1
+    out = {}
+    for fr in range(base, lengths[0] + 1):
+        for fc in range(base, base + n_fc):
+            if total & lane:
+                out[(fr, fc)] = total & lane
+            total >>= lanes
     return out
 
 

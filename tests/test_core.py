@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from oracles import EMPTY_COL_TABLEAU, EMPTY_ROW_TABLEAU, dot_cells
+from oracles import EMPTY_COL_TABLEAU, EMPTY_ROW_TABLEAU, dot_cells, tlt_dot_counts
 from treelike.core import (
     BorderPath,
     Cell,
@@ -21,8 +21,8 @@ from treelike.core import (
     parse_tlt,
     pt_fillings,
     stats_of,
-    tlt_dot_counts,
     tlt_fillings,
+    tlt_first_row_counts,
     to_json,
     to_text,
     transpose,
@@ -213,8 +213,9 @@ class TestEnumeration:
             lambda: list(tlt_fillings((), 0)),
             lambda: list(pt_fillings((), 0)),
             lambda: tlt_dot_counts((), 0),
+            lambda: tlt_first_row_counts((), 0),
         ],
-        ids=["tlt_fillings", "pt_fillings", "tlt_dot_counts"],
+        ids=["tlt_fillings", "pt_fillings", "tlt_dot_counts", "tlt_first_row_counts"],
     )
     def test_shape_without_rows_is_value_error(self, call):
         with pytest.raises(ValueError, match="at least one row"):

@@ -15,7 +15,7 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import filling_count, pt_filling_count, tlt_filling_tallies
+from oracles import filling_count, pt_filling_count, tlt_dot_counts, tlt_filling_tallies
 from treelike.bijections import pt_to_tlt
 from treelike.core import (
     _EMPTY,
@@ -37,8 +37,8 @@ from treelike.core import (
     first_col_points,
     first_row_points,
     pt_fillings,
-    tlt_dot_counts,
     tlt_fillings,
+    tlt_first_row_counts,
     to_json,
     to_text,
 )
@@ -241,6 +241,8 @@ def test_fillings_match_recursive_engine():
         assert pt_filling_count(lengths, width) == len(pt), (lengths, width)
         firsts = Counter((first_row_points(rows), first_col_points(rows)) for rows in tlt)
         assert tlt_dot_counts(lengths, width) == firsts, (lengths, width)
+        by_fr = Counter(first_row_points(rows) for rows in tlt)
+        assert tlt_first_row_counts(lengths, width) == by_fr, (lengths, width)
         tallies = tlt_filling_tallies(lengths, width)
         assert {key: val[0] for key, val in tallies.items()} == firsts, (lengths, width)
         for i, rows in enumerate(tlt):

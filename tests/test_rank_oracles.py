@@ -3,8 +3,9 @@
 The corner-to-run map recodes each side piece and the tree by rank. A side
 piece of size k with d first-row (left) or first-column (right) dots pairs
 with the permutation of k with d cycles at the same rank
-(`_piece_rank`/`_piece_unrank`: per-path offsets plus the completion table
-restricted to d dots; `_perm_rank`/`_perm_unrank`: Stirling completions).
+(`_piece_rank`/`_piece_unrank`: per-path offsets plus lane d of the
+completion table's counts; `_perm_rank`/`_perm_unrank`: Stirling
+completions).
 The i-th non-ambiguous tree of an (h, w) grid pairs with the i-th colored
 word on the (h, w) alphabet (`filling_rank`/`filling_unrank` over the
 tree-like filling rules, `_word_rank`/`_word_unrank` over the colored-word
@@ -15,7 +16,7 @@ composition that read them.
 """
 
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import accumulate, chain, permutations, product
 from math import factorial
 
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     enumerate_colored_words,
     filling_count,
     pt_filling_count,
+    tlt_dot_counts,
 )
 from treelike.bijections import (
     ColoredWord,
@@ -65,6 +67,7 @@ from treelike.core import (
     BorderPath,
     NonAmbiguousTree,
     TreeLikeTableau,
+    _tlt_completions,
     _tlt_paths,
     enumerate_nat,
     enumerate_tlt,
@@ -73,7 +76,6 @@ from treelike.core import (
     first_col_points,
     first_row_points,
     pt_fillings,
-    tlt_dot_counts,
     stats_of,
     tlt_fillings,
     transpose,
@@ -462,6 +464,63 @@ def test_rank_with_wrong_dot_count_raises():
     lengths, width = t.path.row_lengths, t.path.num_cols
     with pytest.raises(ValueError, match="row 1, column index 1 must hold a dot"):
         filling_rank(lengths, width, t.rows, (first_row_points, 2))
+
+
+def test_one_completion_table_per_shape_and_statistic():
+    # the dot count is a lane of the table's counts, not part of its key:
+    # every d of both statistics reads the shape's one table per statistic
+    path = BorderPath("SWSSWWSW")
+    lengths, width = path.row_lengths, path.num_cols
+    fillings = list(tlt_fillings(lengths, width))
+    _tlt_completions.cache_clear()
+    for stat in STATS:
+        buckets, _ = _bucket(fillings, stat)
+        assert len(buckets) > 1
+        for d, rows_d in buckets.items():
+            assert filling_count(lengths, width, (stat, d)) == len(rows_d)
+            for i, rows in enumerate(rows_d):
+                assert filling_rank(lengths, width, rows, (stat, d)) == i
+                assert filling_unrank(lengths, width, i, (stat, d)) == rows
+    assert _tlt_completions.cache_info().currsize == len(STATS)
+
+
+@pytest.mark.parametrize("stat", STATS, ids=STAT_IDS)
+def test_dot_count_outside_the_lanes_raises(stat):
+    # d = -1 and d above the counted cells name the root, whose dot already
+    # leaves too many or too few, and no index unranks
+    path = BorderPath("SWSSWWSW")
+    lengths, width = path.row_lengths, path.num_cols
+    counted = lengths[0] if stat is first_row_points else len(lengths) - lengths.count(0)
+    rows = next(tlt_fillings(lengths, width))
+    for d in (-1, counted + 1):
+        with pytest.raises(ValueError, match="row 1, column index 0 may not hold a dot"):
+            filling_rank(lengths, width, rows, (stat, d))
+        with pytest.raises(ValueError, match="no filling at index 0"):
+            filling_unrank(lengths, width, 0, (stat, d))
+        assert filling_count(lengths, width, (stat, d)) == 0
+    for d in (-1, 8):  # a piece of size 7 has 1..7 such dots
+        with pytest.raises(ValueError, match="no tableau of size 7 with"):
+            _piece_unrank(stat, 7, d, 0)
+    # a shape without cells has only lane 0
+    with pytest.raises(ValueError, match="some column has no dot"):
+        filling_rank((0,), 0, (0,), (stat, -1))
+    with pytest.raises(ValueError, match="no filling at index 0"):
+        filling_unrank((0,), 0, 0, (stat, -1))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_piece_offsets_equal_the_joint_counts(k):
+    # `_piece_paths` tallies first-row dots per path and reads first-column
+    # dots off the transposed path; the joint (fr, fc) DP gives both at once
+    paths, index, offsets = _piece_paths(k)
+    assert [p.steps for p in paths] == list(_tlt_paths(k))
+    joint: dict = {}
+    for i, p in enumerate(paths):
+        assert index[p.steps] == i
+        for (fr, fc), count in tlt_dot_counts(p.row_lengths, p.num_cols).items():
+            for key in ((first_row_points, fr), (first_col_points, fc)):
+                joint.setdefault(key, [0] * len(paths))[i] += count
+    assert offsets == {key: list(accumulate(c, initial=0)) for key, c in joint.items()}
 
 
 @pytest.mark.parametrize("text", ["1* 4 0* 2* 1 2 3* 3", "2* 1* 0*", "0* 1"])

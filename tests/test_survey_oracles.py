@@ -34,6 +34,7 @@ from oracles import (
     displacement,
     first_row_dist,
     pt_filling_count,
+    tlt_dot_counts,
     tlt_filling_tallies,
 )
 from treelike.core import (
@@ -50,7 +51,6 @@ from treelike.core import (
     first_col_points,
     first_row_points,
     pt_fillings,
-    tlt_dot_counts,
     tlt_fillings,
 )
 from treelike import abpoly, counting, verify
@@ -426,7 +426,7 @@ def _paths_agree_with_the_tuple_dp(n):
         args = (p.row_lengths, p.num_cols)
         tallies = tlt_filling_tallies(*args)
         assert tallies == tuple_tlt_filling_tallies(*args), steps
-        # the count-only DP that ranks the side pieces
+        # the joint count-only DP that the side-piece offsets are held against
         assert tlt_dot_counts(*args) == {key: t[0] for key, t in tallies.items()}, steps
 
 
