@@ -252,9 +252,16 @@ def expected_jumps_defining(n: int) -> RationalExpr:
     return RationalExpr(num, t_poly(n + 1))
 
 
-@lru_cache(maxsize=64)
 def expected_jumps_closed_form(n: int) -> RationalExpr:
-    """Closed form with the corrected denominator 3 (a+b+n-1)(a+b+n-2)."""
+    """The printed form over the corrected denominator 3 (a+b+n-1)(a+b+n-2)."""
+    printed = expected_jumps_printed_form(n)
+    return RationalExpr(printed.num, printed.den.scale(3))
+
+
+@lru_cache(maxsize=64)
+def expected_jumps_printed_form(n: int) -> RationalExpr:
+    """The closed form's numerator over the untripled denominator
+    (a+b+n-1)(a+b+n-2), as printed; kept for the discrepancy report."""
     if n < 2:
         raise ValueError("need n >= 2")
     num = (
@@ -263,16 +270,5 @@ def expected_jumps_closed_form(n: int) -> RationalExpr:
         + (A + B).scale(3 * (n * n - n - 1))
         + BivarPoly.const(n * (n - 1) * (n - 2))
     )
-    den = (A + B + BivarPoly.const(n - 1)) * (A + B + BivarPoly.const(n - 2))
-    return RationalExpr(num, den.scale(3))
-
-
-def expected_jumps_printed_form(n: int) -> RationalExpr:
-    """The same numerator over the untripled denominator, kept for the
-    discrepancy report."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    corrected = expected_jumps_closed_form(n)
-    num = corrected.num
     den = (A + B + BivarPoly.const(n - 1)) * (A + B + BivarPoly.const(n - 2))
     return RationalExpr(num, den)

@@ -36,7 +36,7 @@ from .core import (
     transpose_bits,
     transpose_steps,
 )
-from .counting import stirling_row
+from .counting import is_run_of_size_1, stirling_row
 
 # ---------------------------------------------------------------------------
 # column deletion
@@ -470,10 +470,7 @@ class MarkedRun:
             raise ValueError("not a permutation of 1..n")
         if not 1 <= self.k <= n:
             raise ValueError(f"mark {self.k} out of range")
-        v = self.perm[self.k - 1]
-        prev = self.perm[self.k - 2] if self.k > 1 else n + 1
-        nxt = self.perm[self.k] if self.k < n else 0
-        if not prev > v > nxt:
+        if not is_run_of_size_1(self.perm, self.k):
             raise ValueError(f"position {self.k} is not a run of size 1")
 
 

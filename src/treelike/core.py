@@ -504,14 +504,14 @@ def filling_rank(
     for (r, bit, counted, after), here in zip(steps, table):
         _, n_empty, empty, filled = here[key]
         if rows[r] << 1 & bit:
-            if filled is None or not counted <= d <= after + counted:
+            if filled is None or counted and not 0 < d <= after + 1:
                 raise ValueError(
                     f"cell at row {r + 1}, column index {bit.bit_length() - 2} may not hold a dot"
                 )
             rank += n_empty >> d * lane & mask
             key = filled
             d -= counted
-        elif empty is None or not 0 <= d <= after:
+        elif empty is None or counted and d > after:
             raise ValueError(
                 f"cell at row {r + 1}, column index {bit.bit_length() - 2} must hold a dot"
             )

@@ -8,7 +8,7 @@ a tableau, and only the cycle count lists the permutations:
 - `tlt_survey` and `pt_survey` count the fillings of all border paths of
   one width in one pass, a transfer-matrix count over the lattice of path
   prefixes (`_lattice`; Stanley, Enumerative Combinatorics 1, section 4.7)
-  under the cell rules of `core.tlt_fillings`/`pt_fillings`, in integer
+  under the cell rules of enumeration (`core._cell_moves`), in integer
   lanes per (first-row, first-column) class for the fillings, corners,
   occupied corners and undotted corners by class; `tlt_survey` walks only
   the shapes no wider than tall and adds their transposes;
@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 
-from .core import _EMPTY, _FILLED, _PT_RULES, _TLT_RULES, NOC_CLASSES
+from .core import _EMPTY, _FILLED, _PT_RULES, _TLT_RULES, NOC_CLASSES, _cell_moves
 
 # Not called here since the surveys count through the DP, but kept
 # importable under these names: bench/rep.py wraps them where callers bind
@@ -130,16 +130,15 @@ def stirling_row(n: int) -> dict[int, int]:
 # n+1 appended so the last letter is always an ascent value.
 
 
-def runs_of_size_1(p: tuple[int, ...]) -> list[int]:
-    """Positions j with p[j-1] > p[j] > p[j+1], under sentinels n+1 and 0."""
+def is_run_of_size_1(p: tuple[int, ...], j: int) -> bool:
+    """Whether p[j-1] > p[j] > p[j+1] (j from 1), under sentinels n+1 and 0."""
     n = len(p)
-    out = []
-    for j in range(1, n + 1):
-        prev = p[j - 2] if j > 1 else n + 1
-        nxt = p[j] if j < n else 0
-        if prev > p[j - 1] > nxt:
-            out.append(j)
-    return out
+    return (p[j - 2] if j > 1 else n + 1) > p[j - 1] > (p[j] if j < n else 0)
+
+
+def runs_of_size_1(p: tuple[int, ...]) -> list[int]:
+    """The positions j of p that are runs of size 1 (`is_run_of_size_1`)."""
+    return [j for j in range(1, len(p) + 1) if is_run_of_size_1(p, j)]
 
 
 @dataclass
@@ -319,12 +318,13 @@ def _lattice(k: int, w: int, tlt: bool) -> tuple[int, int, int]:
     A transfer-matrix count over the lattice of path prefixes (Stanley,
     Enumerative Combinatorics 1, section 4.7): node (s, t) holds the states
     of all prefixes with s south and t west steps, keyed as in
-    `core._cell_moves` (bit 1 + c: live column c holds a filled cell, bit
-    0: the row does). A south step walks the row's w - t cells. A west step
-    retires the rightmost live column, keeping the states where it holds a
-    filled cell (column coverage; only the last row can fold it into its
-    cells). A west step right after a south step makes the row's last cell
-    a corner, so that cell also writes its states with the corner tallied.
+    `core._cell_moves` (bit 1 + c: live column c holds a filled cell, bit 0:
+    the row does). A south step walks the row's w - t cells with its moves
+    for the same row (first, middle or last) of a rectangle of one to three
+    rows, whose last row folds in column coverage. A west step retires
+    the rightmost live column, keeping the states where it holds a filled
+    cell. A west step right after a south step makes the row's last cell a
+    corner, so that cell also writes its states with the corner tallied.
 
     Tree-like values hold a block of seven lanes (fillings, corners,
     occupied, AB, A1, 1B, OneOne) per (first-row dots, first-column dots),
@@ -337,7 +337,6 @@ def _lattice(k: int, w: int, tlt: bool) -> tuple[int, int, int]:
     holds at most the partial fillings of C(k + w - 1, k - 1) prefixes of
     at most k * w cells times their corners, at most min(k, w)."""
     lanes = k * w + (comb(k + w - 1, k - 1) * max(1, min(k, w))).bit_length()
-    root, cell, row_end = _TLT_RULES if tlt else _PT_RULES
     fill = (1 << lanes) - 1  # the fillings lane of every block
     corner = 1 << lanes
     lower = w + 1  # a column's bit, shifted this far, is its lower bit
@@ -361,11 +360,9 @@ def _lattice(k: int, w: int, tlt: bool) -> tuple[int, int, int]:
         moves = rows.get((first, last, length))
         if moves is None:
             moves = rows[(first, last, length)] = []
-            for c in range(length):
-                bit = 2 << c
-                may = root if first and not c else row_end if c == length - 1 else cell
-                if last:
-                    may = (may[0] & _FILLED, may[1], may[2] & _FILLED, may[3])
+            shape = (length,) * (3 - first - last)  # a first, middle or last row, as row s
+            cells = _cell_moves(shape, _TLT_RULES if tlt else _PT_RULES)[0 if first else length :]
+            for c, (_, bit, may, _) in enumerate(cells[:length]):
                 filled, shift = bit | 1, 0
                 if tlt:  # outside column 0: the row bit, and in a middle row the lower bit
                     filled |= (wide | (0 if first or last else bit << lower)) if c else 0

@@ -1,5 +1,6 @@
 """Round trips and worked instances for every map."""
 
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EMPTY_COL_TABLEAU, EMPTY_ROW_TABLEAU, enumerate_colored_words
+from oracles import EMPTY_COL_TABLEAU, EMPTY_ROW_TABLEAU, enumerate_colored_words, filling_count
 from treelike.bijections import (
     ColoredLetter,
     ColoredWord,
@@ -36,16 +37,24 @@ from treelike.bijections import (
     triplet_to_run,
 )
 from treelike.core import (
+    SOUTH,
+    WEST,
+    BorderPath,
     Cell,
     NonAmbiguousTree,
     TreeLikeTableau,
+    _tlt_completions,
     enumerate_nat,
     enumerate_pt,
     enumerate_tlt,
+    filling_unrank,
+    first_col_points,
+    first_row_points,
     noc_class,
     parse_pt,
     parse_tlt,
     to_text,
+    transpose,
 )
 from treelike.counting import runs_of_size_1, tlt_corner_count
 
@@ -402,3 +411,49 @@ class TestCornerRun:
             t, c = run_to_corner(MarkedRun((3, 2, 1), k))
             assert c in t.path.corner_cells
             assert corner_to_run(t, c) == MarkedRun((3, 2, 1), k)
+
+
+def _draw_tableau(rng: random.Random, n: int) -> TreeLikeTableau:
+    """A tree-like tableau of size n: a uniform border path, then the
+    filling at a uniform index below the path's filling count
+    (`filling_unrank`). The draw is uniform per path, not over all n!
+    tableaux: a path with few fillings is drawn as often as one with many.
+    The path's completion table grows with 2^width, so it is dropped after
+    each draw."""
+    steps = SOUTH + "".join(rng.choice(SOUTH + WEST) for _ in range(n - 1)) + WEST
+    path = BorderPath(steps)
+    count = filling_count(path.row_lengths, path.num_cols)
+    rows = filling_unrank(path.row_lengths, path.num_cols, rng.randrange(count))
+    _tlt_completions.cache_clear()
+    return TreeLikeTableau(path, rows)
+
+
+class TestDrawsAboveSize9:
+    """Seeded draws past the sizes the exhaustive tests and `verify --long`
+    reach, so that a fault that shows only on wide or deep shapes fails
+    here too."""
+
+    @pytest.mark.parametrize("n", range(12, 21))
+    def test_round_trips(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            t = _draw_tableau(rng, n)
+            assert parse_tlt(to_text(t)) == t
+            p = tlt_to_pt(t)
+            assert pt_to_tlt(p) == t
+            assert len(t.path.corner_cells) - len(p.path.corner_cells) == corner_transfer_delta(t)
+            u = transpose(t)  # the constructor validates the transpose
+            assert (u.size, first_row_points(u.rows)) == (n, first_col_points(t.rows))
+            assert transpose(u) == t
+            for c in t.path.corner_cells:
+                assert glue(*cut_at_corner(t, c)) == (t, c)
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_corner_to_run(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            t = _draw_tableau(rng, n)
+            for c in t.path.corner_cells:
+                mr = corner_to_run(t, c)
+                assert len(mr.perm) == n
+                assert run_to_corner(mr) == (t, c)
