@@ -11,7 +11,7 @@ with a marked run of size 1.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import OrderedDict, defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, groupby
@@ -611,9 +611,12 @@ def _piece_rank(steps: str, rows: tuple[int, ...], dots: tuple) -> int:
     among the tableaux of its size whose first-row or first-column dots
     match `dots` = (stat, d), in `enumerate_tlt` order: the ones on earlier
     paths, then its filling's rank among the fillings of its path with
-    stat d. A size-0 piece is alone at 0. `filling_rank` raises ValueError
-    on a filling the tableau constructor rejects or whose stat is not d."""
+    stat d. A size-0 piece is alone at 0, and must be the one `_piece_unrank`
+    gives for the stat. `filling_rank` raises ValueError on a filling the
+    tableau constructor rejects or whose stat is not d."""
     if len(steps) == 1:
+        if (steps, rows) != _piece_unrank(dots[0], 0, 0, 0):
+            raise ValueError("not the size-0 piece of its side")
         return 0
     paths, index, offsets = _piece_paths(len(steps) - 1)
     i = index[steps]
@@ -722,25 +725,86 @@ def _perm_unrank(n: int, d: int, index: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-@lru_cache(maxsize=512)
-def _piece_to_cycles(steps: str, rows: tuple[int, ...], stat, d: int) -> tuple:
+class _TwoWayMemo:
+    """A bounded memo of f and its inverse g, bijections in the last
+    argument for each value c of the leading ones: f(*c, x) = y exactly
+    when g(*c, y) = x. A pair computed either way is stored both ways, so
+    the inverse call that follows is a hit. At most `maxsize` pairs are
+    held; the least recently used leaves both ways at once. No exception is
+    stored. f must reject every key in no pair; g sees only keys in one.
+    `cache_info` and the rest read as `lru_cache`'s, over both ways."""
+
+    Info = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+    def __init__(self, f, g, maxsize: int = 512):
+        self._maps, self._maxsize = (f, g), maxsize
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        # {(*c, x): y} and {(*c, y): x}, in one order, least recent first
+        self._pairs = (OrderedDict(), OrderedDict())
+        self._hits = self._misses = 0
+
+    def cache_info(self) -> tuple:
+        return self.Info(self._hits, self._misses, self._maxsize, len(self._pairs[0]))
+
+    def cache_parameters(self) -> dict:
+        return {"maxsize": self._maxsize, "typed": False}
+
+    def forward(self, *key):
+        return self._lookup(0, key)
+
+    def inverse(self, *key):
+        return self._lookup(1, key)
+
+    def _lookup(self, i: int, key: tuple):
+        there, back = self._pairs[i], self._pairs[1 - i]
+        image = there.get(key)
+        if image is None:
+            self._misses += 1
+            there[key] = image = self._maps[i](*key)
+            back[(*key[:-1], image)] = key[-1]
+            if len(there) > self._maxsize:
+                old, old_image = there.popitem(last=False)
+                del back[(*old[:-1], old_image)]
+        else:
+            self._hits += 1
+            there.move_to_end(key)
+            back.move_to_end((*key[:-1], image))
+        return image
+
+
+def _rank_piece(stat, d: int, piece: tuple) -> tuple:
+    # the cycles of the permutation with d cycles at the piece's rank
+    steps, rows = piece
     return _cycles(_perm_unrank(len(steps) - 1, d, _piece_rank(steps, rows, (stat, d))))
 
 
-@lru_cache(maxsize=512)
-def _cycles_to_piece(stat, cycles: tuple) -> tuple[str, tuple[int, ...]]:
-    return _piece_unrank(stat, sum(map(len, cycles)), len(cycles), _perm_rank(cycles))
+def _unrank_piece(stat, d: int, cycles: tuple) -> tuple[str, tuple[int, ...]]:
+    return _piece_unrank(stat, sum(map(len, cycles)), d, _perm_rank(cycles))
 
 
-@lru_cache(maxsize=512)
-def _tree_to_letters(h: int, w: int, tree: tuple[int, ...]) -> tuple[ColoredLetter, ...]:
+def _rank_tree(h: int, w: int, tree: tuple[int, ...]) -> tuple[ColoredLetter, ...]:
     # the word pairs with the transpose of the tree, ranked in place
+    if len(tree) != w + 1 or any(row >> h + 1 for row in tree):
+        raise ValueError(f"the tree does not fill the {w + 1} x {h + 1} grid")
     return _word_unrank(h, w, filling_rank((w + 1,) * (h + 1), w + 1, transpose_bits(tree, h + 1)))
 
 
-@lru_cache(maxsize=512)
-def _letters_to_tree(h: int, w: int, word: tuple) -> tuple[int, ...]:
+def _unrank_tree(h: int, w: int, word: tuple) -> tuple[int, ...]:
     return transpose_bits(filling_unrank((w + 1,) * (h + 1), w + 1, _word_rank(h, w, word)), w + 1)
+
+
+# for each stat and d, the side pieces with stat d and the permutations with
+# d cycles; for each (h, w), the trees of the grid and the words of the alphabet
+_PIECES = _TwoWayMemo(_rank_piece, _unrank_piece)
+_TREES = _TwoWayMemo(_rank_tree, _unrank_tree)
+_cycles_to_piece = _PIECES.inverse
+_tree_to_letters, _letters_to_tree = _TREES.forward, _TREES.inverse
+
+
+def _piece_to_cycles(steps: str, rows: tuple[int, ...], stat, d: int) -> tuple:
+    return _PIECES.forward(stat, d, (steps, rows))
 
 
 def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
@@ -759,10 +823,9 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
 
     The pieces, cycles and word stay rows and tuples: `filling_rank` checks
     each piece and the tree as their constructors would, and the
-    `MarkedRun` is the one object built. The recoding is cached per piece
-    and per tree, not per query (`_piece_to_cycles`, `_tree_to_letters`);
-    the cut and the `MarkedRun` are redone on every call, and a rejected
-    piece raises every time, as `lru_cache` stores no exception."""
+    `MarkedRun` is the one object built. The recodings go through the
+    two-way memos `_PIECES` and `_TREES`, so `run_to_corner` on the result
+    recodes nothing, and a rejected piece raises on every call."""
     (steps_l, rows_l), (steps_r, rows_r), (_, tree) = _cut(t, corner)
     fr_l = first_row_points(rows_l)
     fc_r = first_col_points(rows_r)
@@ -776,12 +839,11 @@ def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
     colored word, unrank each side piece at its cycles' rank (`_perm_rank`,
     `_piece_unrank`), and unrank the tree that pairs with the word
     (`_word_rank`, `filling_unrank`) straight into the rows of its
-    transpose. Unranking emits only valid pieces, so the glued
-    `TreeLikeTableau` is the one object built and validated. The unranking
-    is cached per cycle tuple and per word (`_cycles_to_piece`,
-    `_letters_to_tree`); the split and the glue are redone on every call."""
+    transpose, through the memos of `corner_to_run`. Unranking emits only
+    valid pieces, so the glued `TreeLikeTableau` is the one object built
+    and validated."""
     l_cycles, r_cycles, letters = _run_to_triplet(mr)
     h, w = len(l_cycles), len(r_cycles)
-    left = _cycles_to_piece(first_row_points, l_cycles)
-    right = _cycles_to_piece(first_col_points, r_cycles)
+    left = _cycles_to_piece(first_row_points, h, l_cycles)
+    right = _cycles_to_piece(first_col_points, w, r_cycles)
     return _glue(left, right, (SOUTH * (w + 1) + WEST * (h + 1), _letters_to_tree(h, w, letters)))

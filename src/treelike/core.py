@@ -493,6 +493,8 @@ def filling_rank(
     cells to reach d, counts as forbidden. Raises ValueError when the
     tree-like rules reject the filling, or when its stat is not d."""
     stat, d = dots or (None, 0)  # from here on, d counts the dots still to place
+    if d and stat is None:
+        raise ValueError(f"{d} dots asked for with no statistic to count them")
     steps, lane, table = _tlt_completions(lengths, width, stat)
     if len(rows) != len(lengths):
         raise ValueError("row count does not match the shape")
@@ -531,6 +533,8 @@ def filling_unrank(
     of fillings through it with the counted dots still to place, else a
     dot, with those fillings skipped."""
     stat, d = dots or (None, 0)  # from here on, d counts the dots still to place
+    if d and stat is None:
+        raise ValueError(f"{d} dots asked for with no statistic to count them")
     steps, lane, table = _tlt_completions(lengths, width, stat)
     mask = (1 << lane) - 1
     if d < 0 or not 0 <= index < table[0][0][0] >> d * lane & mask:

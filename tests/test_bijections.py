@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 
 from oracles import EMPTY_COL_TABLEAU, EMPTY_ROW_TABLEAU, enumerate_colored_words, filling_count
 from treelike.bijections import (
+    _PIECES,
+    _TREES,
     ColoredLetter,
     ColoredWord,
     CycleForm,
     MarkedRun,
     _cycles,
-    _cycles_to_piece,
-    _letters_to_tree,
     _permutation,
-    _piece_to_cycles,
+    _rank_piece,
+    _rank_tree,
     _tree_to_letters,
+    _TwoWayMemo,
+    _unrank_piece,
+    _unrank_tree,
     _valid_word,
     _word_unrank,
     corner_to_run,
@@ -390,9 +394,9 @@ class TestCornerRun:
 
             monkeypatch.setattr(cls, "__post_init__", counted)
         tableaux = [t for n in range(1, 6) for t in enumerate_tlt(n)]
-        for f in (_piece_to_cycles, _cycles_to_piece, _tree_to_letters, _letters_to_tree):
-            f.cache_clear()
-        # once with empty caches, once with the recodings cached
+        for memo in (_PIECES, _TREES):
+            memo.cache_clear()
+        # once with empty memos, once with the recodings memoized
         for _ in range(2):
             for t in tableaux:
                 for c in t.path.corner_cells:
@@ -411,6 +415,111 @@ class TestCornerRun:
             t, c = run_to_corner(MarkedRun((3, 2, 1), k))
             assert c in t.path.corner_cells
             assert corner_to_run(t, c) == MarkedRun((3, 2, 1), k)
+
+
+def _misses() -> tuple[int, int]:
+    return _PIECES.cache_info().misses, _TREES.cache_info().misses
+
+
+def _pairs_held(memo: _TwoWayMemo) -> list:
+    # the pairs ((*c, x), y) the memo holds, least recently used first; the
+    # inverse direction holds the same pairs, flipped, in the same order
+    forward, backward = memo._pairs
+    assert list(backward.items()) == [((*k[:-1], y), k[-1]) for k, y in forward.items()]
+    return list(forward.items())
+
+
+class TestTwoWayMemo:
+    def test_round_trip_from_a_corner_recodes_once(self):
+        # corner_to_run computes at most both pieces and the tree; mapping
+        # its image back reads all three from the memos
+        for memo in (_PIECES, _TREES):
+            memo.cache_clear()
+        for n in range(1, 7):
+            for t in enumerate_tlt(n):
+                for c in t.path.corner_cells:
+                    pieces, trees = _misses()
+                    mr = corner_to_run(t, c)
+                    after = _misses()
+                    assert after[0] - pieces <= 2 and after[1] - trees <= 1
+                    assert run_to_corner(mr) == (t, c)
+                    assert _misses() == after
+
+    def test_round_trip_from_a_run_recodes_once(self):
+        for memo in (_PIECES, _TREES):
+            memo.cache_clear()
+        for n in range(1, 7):
+            for p in permutations(range(1, n + 1)):
+                for k in runs_of_size_1(p):
+                    mr = MarkedRun(p, k)
+                    pieces, trees = _misses()
+                    t, c = run_to_corner(mr)
+                    after = _misses()
+                    assert after[0] - pieces <= 2 and after[1] - trees <= 1
+                    assert corner_to_run(t, c) == mr
+                    assert _misses() == after
+
+    def test_bound_holds_and_directions_agree(self):
+        # more pairs than the bound, met from both sides: after every call
+        # the memo holds at most maxsize pairs, the same ones both ways, and
+        # answers as the unmemoized maps
+        pieces = _TwoWayMemo(_rank_piece, _unrank_piece, maxsize=5)
+        trees = _TwoWayMemo(_rank_tree, _unrank_tree, maxsize=3)
+        keys = []
+        for n in range(1, 5):
+            for t in enumerate_tlt(n):
+                for stat in (first_row_points, first_col_points):
+                    piece = (t.path.steps, t.rows)
+                    keys.append((pieces, _rank_piece, (stat, stat(t.rows), piece)))
+        for h, w in ((1, 1), (2, 1), (1, 2)):
+            for nat in enumerate_nat(w, h):
+                keys.append((trees, _rank_tree, (h, w, nat.tableau.rows)))
+        random.Random(0).shuffle(keys)
+        for i, (memo, f, x) in enumerate(keys):
+            y = (*x[:-1], f(*x))
+            # every third pair is met from the inverse side first
+            if i % 3:
+                assert memo.forward(*x) == y[-1]
+            else:
+                assert memo.inverse(*y) == x[-1]
+            assert memo.forward(*x) == y[-1] and memo.inverse(*y) == x[-1]
+            held = _pairs_held(memo)
+            assert held[-1] == (x, y[-1])
+            assert len(held) == memo.cache_info().currsize <= memo.cache_parameters()["maxsize"]
+        for memo, maxsize in ((pieces, 5), (trees, 3)):
+            met = sum(m is memo for m, _, _ in keys)
+            assert memo.cache_info() == (2 * met, met, maxsize, maxsize)
+
+    def test_least_recently_used_pair_leaves_both_ways(self):
+        memo = _TwoWayMemo(_rank_piece, _unrank_piece, maxsize=2)
+        keys = [
+            (first_row_points, t.rows[0].bit_count(), (t.path.steps, t.rows))
+            for t in enumerate_tlt(3)
+        ]
+        images = [_rank_piece(*x) for x in keys[:3]]
+        memo.forward(*keys[0])
+        memo.inverse(*keys[1][:2], images[1])
+        memo.forward(*keys[0])  # the first pair is now the most recently used
+        memo.forward(*keys[2])  # so the second leaves, in both directions
+        assert _pairs_held(memo) == [(keys[0], images[0]), (keys[2], images[2])]
+        assert memo.cache_info() == (1, 3, 2, 2)
+        memo.cache_clear()
+        assert memo.cache_info() == (0, 0, 2, 0) and _pairs_held(memo) == []
+
+    def test_rejected_key_is_not_stored(self):
+        memo = _TwoWayMemo(_rank_piece, _unrank_piece)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must hold a dot"):
+                memo.forward(first_row_points, 1, ("SWSW", (0b01, 0b01)))
+            # the size-0 piece of the other side would pair with the same cycles
+            with pytest.raises(ValueError, match="size-0 piece"):
+                memo.forward(first_row_points, 0, (WEST, ()))
+        assert memo.cache_info() == (0, 4, 512, 0)
+        # a tree with an extra empty row or a dot outside the grid would pair
+        # with the word of the tree without it
+        for tree in ((0b01, 0b11, 0), (0b01, 0b111)):
+            with pytest.raises(ValueError, match="does not fill the 2 x 2 grid"):
+                _tree_to_letters(1, 1, tree)
 
 
 def _draw_tableau(rng: random.Random, n: int) -> TreeLikeTableau:

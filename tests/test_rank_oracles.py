@@ -33,11 +33,12 @@ from oracles import (
     tlt_dot_counts,
 )
 from treelike.bijections import (
+    _PIECES,
+    _TREES,
     ColoredWord,
     CycleForm,
     MarkedRun,
     _cycles,
-    _cycles_to_piece,
     _letters_to_tree,
     _perm_rank,
     _perm_unrank,
@@ -278,13 +279,13 @@ def test_corner_to_run_matches_table_composition(n):
             assert run_to_corner(mr) == table_run_to_corner(mr) == (t, corner)
 
 
-ROUND_TRIP_CACHES = (_piece_to_cycles, _cycles_to_piece, _tree_to_letters, _letters_to_tree)
+ROUND_TRIP_MEMOS = (_PIECES, _TREES)
 
 
 def test_cached_round_trip_matches_tables_cold_and_warm():
-    # the round trip caches the recoding of each side piece and tree: from
-    # empty caches and again from full ones, both maps agree with the
-    # tables at every corner up to size 6
+    # the round trip memoizes the recoding of each side piece and tree both
+    # ways: from empty memos and again from full ones, both maps agree with
+    # the tables at every corner up to size 6
     def sweep():
         for n in range(1, 7):
             for t in _tlts(n):
@@ -292,9 +293,9 @@ def test_cached_round_trip_matches_tables_cold_and_warm():
                     mr = corner_to_run(t, corner)
                     assert mr == table_corner_to_run(t, corner)
                     assert run_to_corner(mr) == table_run_to_corner(mr) == (t, corner)
-        return [f.cache_info() for f in ROUND_TRIP_CACHES]
+        return [f.cache_info() for f in ROUND_TRIP_MEMOS]
 
-    for f in ROUND_TRIP_CACHES:
+    for f in ROUND_TRIP_MEMOS:
         f.cache_clear()
     cold = sweep()
     warm = sweep()
@@ -506,6 +507,19 @@ def test_dot_count_outside_the_lanes_raises(stat):
         filling_rank((0,), 0, (0,), (stat, -1))
     with pytest.raises(ValueError, match="no filling at index 0"):
         filling_unrank((0,), 0, 0, (stat, -1))
+
+
+def test_dot_count_without_a_statistic_raises():
+    # d counts the dots of a statistic; with none, a nonzero d is rejected
+    # up front with the package's own text, on either sign
+    lengths, width, rows = (2, 1), 2, (0b11, 0b01)
+    assert filling_rank(lengths, width, rows, (None, 0)) == filling_rank(lengths, width, rows)
+    assert filling_unrank(lengths, width, 0, (None, 0)) == filling_unrank(lengths, width, 0)
+    for d in (-1, 1):
+        with pytest.raises(ValueError, match=f"{d} dots asked for with no statistic"):
+            filling_rank(lengths, width, rows, (None, d))
+        with pytest.raises(ValueError, match=f"{d} dots asked for with no statistic"):
+            filling_unrank(lengths, width, 0, (None, d))
 
 
 @pytest.mark.parametrize("k", range(1, 8))
