@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict, defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .core import (
@@ -94,6 +94,8 @@ def corner_transfer_delta(t: TreeLikeTableau) -> int:
 
 def _gather(mask: int, sel: int) -> int:
     # the bits of the mask at the set bits of sel, packed low in order
+    if not sel & (sel + 1):  # sel is the low bits: nothing moves
+        return mask & sel
     out = j = 0
     while sel:
         low = sel & -sel
@@ -106,6 +108,8 @@ def _gather(mask: int, sel: int) -> int:
 
 def _scatter(mask: int, sel: int) -> int:
     # inverse of _gather: bit j of the mask moves to the j-th set bit of sel
+    if not sel & (sel + 1):
+        return mask & sel
     out = 0
     while mask:
         low = sel & -sel
@@ -118,26 +122,27 @@ def _scatter(mask: int, sel: int) -> int:
 
 def _cut(t: TreeLikeTableau, corner: Cell) -> tuple[tuple, tuple, tuple]:
     # cut_at_corner on rows: each part as (steps, rows), nothing validated
-    if corner not in t.path.corner_cells:
-        raise ValueError(f"{corner} is not a corner")
+    path, rows = t.path, t.rows
+    try:
+        r, w_l = path.corner_grid_positions[path.corner_cells.index(corner)]
+    except ValueError:
+        raise ValueError(f"{corner} is not a corner") from None
     i = corner[0]  # by position, so a plain (row, col) pair works too
-    steps = t.path.steps
-    r_c = t.path.row_index(i) + 1
-    w_head = t.path.col_index(i + 1) + 1
-    w_l = w_head - 1
-    # the rectangle: the first r_c rows, cut to the first w_head columns
-    rect = [m & ((1 << w_head) - 1) for m in t.rows[:r_c]]
+    # the rectangle: the rows down to the corner's, cut to the columns up to
+    # the corner's; the corner ends its row and its column
+    low = (2 << w_l) - 1
+    rect = [m & low for m in rows[: r + 1]]
     used = 0
     for m in rect:
         used |= m
 
     # at i = n and at i = 1 these are the two size-0 pieces
-    left = (SOUTH + steps[i + 1 :], (used & ((1 << w_l) - 1),) + t.rows[r_c:])
+    left = (SOUTH + path.steps[i + 1 :], (used & (low >> 1),) + rows[r + 1 :])
     right = (
-        steps[: i - 1] + WEST,
-        tuple((row >> w_head) << 1 | (1 if m else 0) for row, m in zip(t.rows, rect[:-1])),
+        path.steps[: i - 1] + WEST,
+        tuple([(row >> w_l + 1) << 1 | (1 if row & low else 0) for row in rows[:r]]),
     )
-    nat_rows = tuple(_gather(m, used) for m in rect if m)
+    nat_rows = tuple([_gather(m, used) for m in rect if m])
     return left, right, (SOUTH * len(nat_rows) + WEST * used.bit_count(), nat_rows)
 
 
@@ -174,23 +179,17 @@ def _glue(left: tuple, right: tuple, tree: tuple) -> tuple[TreeLikeTableau, Cell
     if width != fr_l:
         raise ValueError(f"tree width {width} does not match left first-row dots {fr_l}")
     if height != fc_r:
-        raise ValueError(
-            f"tree height {height} does not match right first-column dots {fc_r}"
-        )
+        raise ValueError(f"tree height {height} does not match right first-column dots {fc_r}")
     i = len(steps_r)  # the right piece has size i - 1
     w_l = steps_l.count(WEST)
-    w_head = w_l + 1
     # the tree's columns are the left piece's first-row dots and column w_l;
     # its rows go to the right piece's rows with a first-column dot, then
     # to the corner's row
     sel = rows_l[0] | 1 << w_l
     rows = iter(rows_t)
-    masks = [
-        (_scatter(next(rows), sel) if row & 1 else 0) | (row >> 1) << w_head
-        for row in rows_r
-    ]
+    masks = [(_scatter(next(rows), sel) if row & 1 else 0) | (row >> 1) << w_l + 1 for row in rows_r]
     masks.append(_scatter(next(rows), sel))
-    masks.extend(rows_l[1:])
+    masks += rows_l[1:]
     steps = steps_r[:-1] + SOUTH + WEST + steps_l[1:]
     return TreeLikeTableau(BorderPath(steps), tuple(masks)), Cell(i, i + 1)
 
@@ -261,17 +260,14 @@ def _valid_word(letters: tuple[ColoredLetter, ...]) -> bool:
 
 
 def parse_colored_word(s: str) -> ColoredWord:
-    letters = []
-    for tok in s.split():
-        if tok.endswith("*"):
-            letters.append(ColoredLetter(int(tok[:-1]), True))
-        else:
-            letters.append(ColoredLetter(int(tok), False))
+    letters = tuple(
+        ColoredLetter(int(tok[:-1]), True) if tok.endswith("*") else ColoredLetter(int(tok), False)
+        for tok in s.split()
+    )
     if not letters:
         raise ValueError("empty word")
-    h = sum(1 for l in letters if l.pointed) - 1
-    w = sum(1 for l in letters if not l.pointed)
-    return ColoredWord(tuple(letters), h, w)
+    h = sum(l.pointed for l in letters) - 1
+    return ColoredWord(letters, h, len(letters) - h - 1)
 
 
 # The valid words on the (h, w) alphabet are ordered lexicographically by
@@ -321,7 +317,7 @@ def _word_rank(h: int, w: int, letters: tuple[ColoredLetter, ...]) -> int:
     """The position of the letters of a word among the valid words on the
     (h, w) alphabet in letter-key order, counted from 0: at each letter, the
     valid words that agree with it before that letter and have an earlier
-    letter there. Raises ValueError for an invalid word."""
+    letter there. Raises ValueError unless the letters are a valid word."""
     table = _word_counts(h, w)
     pointed = list(range(h + 1))
     plain = list(range(1, w + 1))
@@ -343,9 +339,11 @@ def _word_rank(h: int, w: int, letters: tuple[ColoredLetter, ...]) -> int:
             sums = table[a][b - 1][1]
             rank += sums[b - lo] - sums[b - hi]
         left = pointed if is_pointed else plain
-        left.pop(bisect_left(left, value))
+        if value not in left:  # used already, or not in the alphabet
+            raise ValueError("not a valid colored word")
+        left.remove(value)
         last, last_pointed = value, is_pointed
-    if not last_pointed:
+    if pointed or plain or not last_pointed:
         raise ValueError("not a valid colored word")
     return rank
 
@@ -413,19 +411,15 @@ def _cycles(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The cycles of a permutation of 1..n in the order of `CycleForm`."""
     seen = [False] * (len(p) + 1)
     cycles = []
-    for s in range(1, len(p) + 1):
-        if seen[s]:
-            continue
+    for s in range(len(p), 0, -1):  # a cycle is first met at its maximum
         cyc = []
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = p[j - 1]
-        top = cyc.index(max(cyc))
-        cycles.append(tuple(cyc[top:] + cyc[:top]))
-    cycles.sort()  # the maxima are distinct and come first
-    return tuple(cycles)
+        while not seen[s]:
+            seen[s] = True
+            cyc.append(s)
+            s = p[s - 1]
+        if cyc:
+            cycles.append(tuple(cyc))
+    return tuple(reversed(cycles))
 
 
 def _permutation(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -490,14 +484,18 @@ def m_star(letters: tuple[ColoredLetter, ...]) -> tuple[ColoredLetter, ...]:
     idx = letters.index(_POINTED_0)
     if letters[-1].pointed and (idx == len(letters) - 1 or letters[idx + 1].pointed):
         return letters
-    head = list(letters[: idx + 1])
-    blocks = [list(g) for _, g in groupby(letters[idx + 1 :], lambda l: l.pointed)]
-    if len(blocks) % 2:
+    a = idx + 1
+    # the blocks after the pointed 0 end where the kind changes, and at the end
+    ends = [j for j in range(a + 1, len(letters)) if letters[j].pointed != letters[j - 1].pointed]
+    ends.append(len(letters))
+    if len(ends) % 2:
         raise ValueError("the letters after the pointed 0 do not form block pairs")
-    for j in range(0, len(blocks), 2):
-        head.extend(blocks[j + 1])
-        head.extend(blocks[j])
-    return tuple(head)
+    out = list(letters[:a])
+    for b, c in zip(ends[::2], ends[1::2]):
+        out += letters[b:c]
+        out += letters[a:b]
+        a = c
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +514,9 @@ def _triplet_to_run(l_cycles: tuple, r_cycles: tuple, letters: tuple, h: int, w:
     k = -1
     for value, pointed in m_star(letters):
         if not pointed:
-            out.extend(x + v for x in r_cycles[value - 1])
+            out += [x + v for x in r_cycles[value - 1]]
         elif value:
-            out.extend(l_cycles[value - 1])
+            out += l_cycles[value - 1]
         else:
             k = len(out) + 1
             out.append(v)
@@ -539,35 +537,33 @@ def _run_to_triplet(mr: MarkedRun) -> tuple[tuple, tuple, tuple]:
     # run_to_triplet as (left cycles, right cycles, letters), nothing built
     p, k = mr.perm, mr.k
     v = p[k - 1]
-    small_cycles: list[list[int]] = []
-    big_cycles: list[list[int]] = []
+    small, big = [], []  # the cycles of smaller and of larger values
     order = []  # per letter, the maximum of its cycle; v for the pointed 0
-    cyc: list[int] = []  # the cycle being built; empty at a block's start
-    for e in p:
-        if e == v:
-            order.append(v)
-            cyc = []
-        elif not cyc or (e < v) != (cyc[0] < v) or e > cyc[0]:
-            # a new cycle starts at each left-to-right maximum of a block
-            cyc = [e]
-            (small_cycles if e < v else big_cycles).append(cyc)
+    head = 0  # the maximum of the cycle being built; 0 at a block's start
+    for j, e in enumerate(p):
+        # a new cycle starts at each left-to-right maximum of a block
+        if e == v or not head or (e < v) != (head < v) or e > head:
+            if head:
+                (small if head < v else big).append(p[a:j])
+            a, head = j, (0 if e == v else e)
             order.append(e)
-        else:
-            cyc.append(e)
+    if head:
+        (small if head < v else big).append(p[a:])
 
     # cycles start with distinct maxima, so sorting them sorts by maxima
-    l_sorted = tuple(sorted(map(tuple, small_cycles)))
-    r_sorted = tuple(sorted(tuple(x - v for x in c) for c in big_cycles))
-    letter = {c[0]: _letter(i, True) for i, c in enumerate(l_sorted, 1)}
-    letter.update((c[0] + v, _letter(i, False)) for i, c in enumerate(r_sorted, 1))
+    small.sort()
+    big.sort()
+    letter = {c[0]: _letter(i, True) for i, c in enumerate(small, 1)}
+    for i, c in enumerate(big, 1):
+        letter[c[0]] = _letter(i, False)
     letter[v] = _POINTED_0
     # the value after the mark is smaller, so the pointed 0 is last or
     # followed by a pointed letter: m_star swaps exactly the words that end
     # unpointed, undoing the swap in triplet_to_run
-    letters = m_star(tuple(map(letter.__getitem__, order)))
+    letters = m_star(tuple([letter[e] for e in order]))
     if not _valid_word(letters):
         raise ValueError("the block order does not give a valid colored word")
-    return l_sorted, r_sorted, letters
+    return tuple(small), tuple([tuple([x - v for x in c]) for c in big]), letters
 
 
 def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
@@ -592,17 +588,16 @@ def _piece_paths(k: int) -> tuple[tuple[BorderPath, ...], dict, dict]:
     sums over the paths of the tableaux with stat d, so entry i counts
     those on earlier paths. Read off the per-path first-row counts of
     `tlt_first_row_counts`, 2^(k-1) of them: transposing a tableau swaps
-    its first row and first column ([ABN]), so a path's first-column
-    counts are the first-row counts of its transposed path."""
+    its first row and first column ([ABN]), so each path's first-row
+    counts are also the first-column counts of its transposed path."""
     paths = tuple(BorderPath(steps) for steps in _tlt_paths(k))
     index = {path.steps: i for i, path in enumerate(paths)}
-    by_fr = [tlt_first_row_counts(path.row_lengths, path.num_cols) for path in paths]
     counts = defaultdict(lambda: [0] * len(paths))
     for i, path in enumerate(paths):
         j = index[transpose_steps(path.steps)]
-        for stat, by_d in ((first_row_points, by_fr[i]), (first_col_points, by_fr[j])):
-            for d, count in by_d.items():
-                counts[stat, d][i] += count
+        for d, count in tlt_first_row_counts(path.row_lengths, path.num_cols).items():
+            counts[first_row_points, d][i] += count
+            counts[first_col_points, d][j] += count
     return paths, index, {key: list(accumulate(c, initial=0)) for key, c in counts.items()}
 
 
@@ -730,47 +725,56 @@ class _TwoWayMemo:
     argument for each value c of the leading ones: f(*c, x) = y exactly
     when g(*c, y) = x. A pair computed either way is stored both ways, so
     the inverse call that follows is a hit. At most `maxsize` pairs are
-    held; the least recently used leaves both ways at once. No exception is
-    stored. f must reject every key in no pair; g sees only keys in one.
-    `cache_info` and the rest read as `lru_cache`'s, over both ways."""
+    held, in one recency order for both ways: a hit either way makes its
+    pair the most recent, and the least recent leaves both ways at once. No
+    exception is stored. f must reject every key in no pair; g sees only
+    keys in one. `cache_info` and the rest read as `lru_cache`'s, both ways."""
 
     Info = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
     def __init__(self, f, g, maxsize: int = 512):
-        self._maps, self._maxsize = (f, g), maxsize
+        self._f, self._g, self._maxsize = f, g, maxsize
         self.cache_clear()
 
     def cache_clear(self) -> None:
-        # {(*c, x): y} and {(*c, y): x}, in one order, least recent first
-        self._pairs = (OrderedDict(), OrderedDict())
+        # {(*c, x): y}, least recent first, and each pair's (*c, y) -> (*c, x)
+        self._pairs: OrderedDict = OrderedDict()
+        self._back: dict = {}
         self._hits = self._misses = 0
 
     def cache_info(self) -> tuple:
-        return self.Info(self._hits, self._misses, self._maxsize, len(self._pairs[0]))
+        return self.Info(self._hits, self._misses, self._maxsize, len(self._pairs))
 
     def cache_parameters(self) -> dict:
         return {"maxsize": self._maxsize, "typed": False}
 
     def forward(self, *key):
-        return self._lookup(0, key)
-
-    def inverse(self, *key):
-        return self._lookup(1, key)
-
-    def _lookup(self, i: int, key: tuple):
-        there, back = self._pairs[i], self._pairs[1 - i]
-        image = there.get(key)
+        image = self._pairs.get(key)
         if image is None:
             self._misses += 1
-            there[key] = image = self._maps[i](*key)
-            back[(*key[:-1], image)] = key[-1]
-            if len(there) > self._maxsize:
-                old, old_image = there.popitem(last=False)
-                del back[(*old[:-1], old_image)]
+            return self._store(key, self._f(*key))
+        self._hits += 1
+        self._pairs.move_to_end(key)
+        return image
+
+    def inverse(self, *key):
+        pair = self._back.get(key)
+        if pair is None:
+            self._misses += 1
+            pair = (*key[:-1], self._g(*key))
+            self._store(pair, key[-1])
         else:
             self._hits += 1
-            there.move_to_end(key)
-            back.move_to_end((*key[:-1], image))
+            self._pairs.move_to_end(pair)
+        return pair[-1]
+
+    def _store(self, pair: tuple, image):
+        # hold the pair ((*c, x), y) as the most recent one; returns y
+        self._pairs[pair] = image
+        self._back[(*pair[:-1], image)] = pair
+        if len(self._pairs) > self._maxsize:
+            old, old_image = self._pairs.popitem(last=False)
+            del self._back[(*old[:-1], old_image)]
         return image
 
 
@@ -799,12 +803,8 @@ def _unrank_tree(h: int, w: int, word: tuple) -> tuple[int, ...]:
 # d cycles; for each (h, w), the trees of the grid and the words of the alphabet
 _PIECES = _TwoWayMemo(_rank_piece, _unrank_piece)
 _TREES = _TwoWayMemo(_rank_tree, _unrank_tree)
-_cycles_to_piece = _PIECES.inverse
+_piece_to_cycles, _cycles_to_piece = _PIECES.forward, _PIECES.inverse
 _tree_to_letters, _letters_to_tree = _TREES.forward, _TREES.inverse
-
-
-def _piece_to_cycles(steps: str, rows: tuple[int, ...], stat, d: int) -> tuple:
-    return _PIECES.forward(stat, d, (steps, rows))
 
 
 def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
@@ -827,10 +827,9 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
     two-way memos `_PIECES` and `_TREES`, so `run_to_corner` on the result
     recodes nothing, and a rejected piece raises on every call."""
     (steps_l, rows_l), (steps_r, rows_r), (_, tree) = _cut(t, corner)
-    fr_l = first_row_points(rows_l)
-    fc_r = first_col_points(rows_r)
-    l_cycles = _piece_to_cycles(steps_l, rows_l, first_row_points, fr_l)
-    r_cycles = _piece_to_cycles(steps_r, rows_r, first_col_points, fc_r)
+    fr_l, fc_r = first_row_points(rows_l), first_col_points(rows_r)
+    l_cycles = _piece_to_cycles(first_row_points, fr_l, (steps_l, rows_l))
+    r_cycles = _piece_to_cycles(first_col_points, fc_r, (steps_r, rows_r))
     return _triplet_to_run(l_cycles, r_cycles, _tree_to_letters(fr_l, fc_r, tree), fr_l, fc_r)
 
 

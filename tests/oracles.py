@@ -340,3 +340,29 @@ def cycle_count(p: tuple[int, ...]) -> int:
 
 def displacement(p: tuple[int, ...]) -> int:
     return sum(max(v - j, 0) for j, v in enumerate(p, start=1))
+
+
+class PairLRU:
+    """A reference for `bijections._TwoWayMemo`: the held pairs
+    ((*c, x), y) in a list, least recently used first, searched from
+    either side. A hit moves its pair to the end; a miss computes the image
+    with f or g, appends the pair and drops the oldest past `maxsize`; an
+    exception stores nothing."""
+
+    def __init__(self, f, g, maxsize: int):
+        self.maps, self.maxsize = (f, g), maxsize
+        self.held: list = []
+        self.hits = self.misses = 0
+
+    def call(self, way: int, *key):
+        # way 0 looks up (*c, x), way 1 looks up (*c, y)
+        for i, (x, y) in enumerate(self.held):
+            if (x, (*x[:-1], y))[way] == key:
+                self.hits += 1
+                self.held.append(self.held.pop(i))
+                return (y, x[-1])[way]
+        self.misses += 1
+        image = self.maps[way](*key)
+        pair = (key, image) if way == 0 else ((*key[:-1], image), key[-1])
+        self.held = (self.held + [pair])[-self.maxsize :]
+        return image

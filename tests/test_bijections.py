@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EMPTY_COL_TABLEAU, EMPTY_ROW_TABLEAU, enumerate_colored_words, filling_count
+from oracles import (
+    EMPTY_COL_TABLEAU,
+    EMPTY_ROW_TABLEAU,
+    PairLRU,
+    enumerate_colored_words,
+    filling_count,
+)
 from treelike.bijections import (
     _PIECES,
     _TREES,
@@ -61,6 +67,7 @@ from treelike.core import (
     transpose,
 )
 from treelike.counting import runs_of_size_1, tlt_corner_count
+from treelike.verify import run_check_at
 
 
 class TestColumnDeletion:
@@ -423,10 +430,9 @@ def _misses() -> tuple[int, int]:
 
 def _pairs_held(memo: _TwoWayMemo) -> list:
     # the pairs ((*c, x), y) the memo holds, least recently used first; the
-    # inverse direction holds the same pairs, flipped, in the same order
-    forward, backward = memo._pairs
-    assert list(backward.items()) == [((*k[:-1], y), k[-1]) for k, y in forward.items()]
-    return list(forward.items())
+    # inverse key (*c, y) of each pair, and no other, leads back to it
+    assert memo._back == {(*k[:-1], y): k for k, y in memo._pairs.items()}
+    return list(memo._pairs.items())
 
 
 class TestTwoWayMemo:
@@ -506,6 +512,39 @@ class TestTwoWayMemo:
         memo.cache_clear()
         assert memo.cache_info() == (0, 0, 2, 0) and _pairs_held(memo) == []
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 6)), max_size=40),
+    )
+    def test_matches_a_reference_lru(self, maxsize, calls):
+        # random forward and inverse calls on a toy bijection of 0..5 per c;
+        # forward rejects x = 6, inverse is asked only for images
+        memo = _TwoWayMemo(_toy_f, _toy_g, maxsize=maxsize)
+        ref = PairLRU(_toy_f, _toy_g, maxsize)
+        for way, c, z in calls:
+            key = (c, _toy_f(c, z % 6)) if way else (c, z)
+            lookup = memo.inverse if way else memo.forward
+            if key == (c, 6):
+                with pytest.raises(ValueError, match="no pair"):
+                    lookup(*key)
+                with pytest.raises(ValueError, match="no pair"):
+                    ref.call(way, *key)
+            else:
+                assert lookup(*key) == ref.call(way, *key)
+            assert memo.cache_info() == (ref.hits, ref.misses, maxsize, len(ref.held))
+            assert _pairs_held(memo) == ref.held
+
+    def test_readme_hit_counts(self):
+        # the first row of the README's hit/miss table: the sweeps n = 1..6
+        # of `verify --check corner-run-bijection --max-n 6`, from empty memos
+        for memo in (_PIECES, _TREES):
+            memo.cache_clear()
+        for n in range(1, 7):
+            assert all(row.match for row in run_check_at("corner-run-bijection", n))
+        lookups = [(info.misses, info.hits + info.misses) for info in (_PIECES.cache_info(), _TREES.cache_info())]
+        assert lookups == [(308, 5688), (381, 2844)]
+
     def test_rejected_key_is_not_stored(self):
         memo = _TwoWayMemo(_rank_piece, _unrank_piece)
         for _ in range(2):
@@ -520,6 +559,20 @@ class TestTwoWayMemo:
         for tree in ((0b01, 0b11, 0), (0b01, 0b111)):
             with pytest.raises(ValueError, match="does not fill the 2 x 2 grid"):
                 _tree_to_letters(1, 1, tree)
+
+
+_TOY = {0: (3, 0, 5, 1, 4, 2), 1: (1, 2, 0, 5, 3, 4)}
+
+
+def _toy_f(c: int, x: int) -> int:
+    # for each c, a bijection from 0..5 onto 10..15
+    if not 0 <= x < 6:
+        raise ValueError("no pair")
+    return 10 + _TOY[c][x]
+
+
+def _toy_g(c: int, y: int) -> int:
+    return _TOY[c].index(y - 10)
 
 
 def _draw_tableau(rng: random.Random, n: int) -> TreeLikeTableau:

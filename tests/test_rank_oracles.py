@@ -35,6 +35,7 @@ from oracles import (
 from treelike.bijections import (
     _PIECES,
     _TREES,
+    ColoredLetter,
     ColoredWord,
     CycleForm,
     MarkedRun,
@@ -323,12 +324,12 @@ def test_rejected_piece_raises_on_every_call(stat):
     for rows in product(*(range(1 << lam) for lam in lengths)):
         for d in range(1, 5):
             if rows in valid and stat(rows) == d:
-                cycles = _piece_to_cycles(path.steps, rows, stat, d)
-                assert _piece_to_cycles(path.steps, rows, stat, d) == cycles
+                cycles = _piece_to_cycles(stat, d, (path.steps, rows))
+                assert _piece_to_cycles(stat, d, (path.steps, rows)) == cycles
                 continue
             message = _raised(filling_rank, lengths, width, rows, (stat, d))
             for _ in range(2):
-                assert _raised(_piece_to_cycles, path.steps, rows, stat, d) == message
+                assert _raised(_piece_to_cycles, stat, d, (path.steps, rows)) == message
 
 
 def test_rejected_tree_raises_on_every_call():
@@ -543,6 +544,39 @@ def test_invalid_word_rank_raises(text):
     assert not _valid_word(m.letters)
     with pytest.raises(ValueError, match="not a valid colored word"):
         _word_rank(m.h, m.w, m.letters)
+
+
+def _letters(text: str) -> tuple:
+    # the letters of a text, with no alphabet check
+    return tuple(ColoredLetter(int(tok.rstrip("*")), tok.endswith("*")) for tok in text.split())
+
+
+@pytest.mark.parametrize(
+    "h,w,text",
+    [
+        (2, 1, "0* 1 0* 2*"),  # pointed 0 twice, pointed 1 missing
+        (1, 1, "1* 1 1*"),  # pointed 1 twice, pointed 0 missing
+        (1, 1, "0* 1 2*"),  # a pointed letter outside the alphabet
+        (1, 1, "0* 2 1*"),  # an unpointed letter outside the alphabet
+        (1, 2, "1 0* 1*"),  # unpointed 2 left unused
+        (0, 0, ""),
+    ],
+)
+def test_word_rank_rejects_letters_that_are_no_arrangement(h, w, text):
+    # in order, but not an arrangement of the alphabet
+    with pytest.raises(ValueError, match="not a valid colored word"):
+        _word_rank(h, w, _letters(text))
+
+
+def test_rejected_word_stores_no_tree():
+    _TREES.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a valid colored word"):
+            _letters_to_tree(2, 1, _letters("0* 1 0* 2*"))
+    assert _TREES.cache_info().currsize == 0
+    # the tree at rank 0, which the word above ranked as
+    letters = _tree_to_letters(2, 1, (7, 4))
+    assert letters == _word_unrank(2, 1, 0) and _valid_word(ColoredWord(letters, 2, 1).letters)
 
 
 def test_negative_alphabet():
