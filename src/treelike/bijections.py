@@ -121,7 +121,10 @@ def _scatter(mask: int, sel: int) -> int:
 
 
 def _cut(t: TreeLikeTableau, corner: Cell) -> tuple[tuple, tuple, tuple]:
-    # cut_at_corner on rows: each part as (steps, rows), nothing validated
+    # cut_at_corner on rows, nothing validated: each piece as (steps, rows),
+    # the tree as (h, w, rows), the _TREES key: h is its width, the left
+    # piece's first-row dots, and w its height, the right piece's first-column
+    # dots (the corner's column and row, always dotted, are not counted)
     path, rows = t.path, t.rows
     try:
         r, w_l = path.corner_grid_positions[path.corner_cells.index(corner)]
@@ -143,7 +146,7 @@ def _cut(t: TreeLikeTableau, corner: Cell) -> tuple[tuple, tuple, tuple]:
         tuple([(row >> w_l + 1) << 1 | (1 if row & low else 0) for row in rows[:r]]),
     )
     nat_rows = tuple([_gather(m, used) for m in rect if m])
-    return left, right, (SOUTH * len(nat_rows) + WEST * used.bit_count(), nat_rows)
+    return left, right, (used.bit_count() - 1, len(nat_rows) - 1, nat_rows)
 
 
 def cut_at_corner(
@@ -158,24 +161,24 @@ def cut_at_corner(
     it. Either piece may be one of the two size-0 tableaux. Each part is
     built by its validating constructor.
     """
-    (steps_l, rows_l), (steps_r, rows_r), (steps_t, rows_t) = _cut(t, corner)
+    (steps_l, rows_l), (steps_r, rows_r), (h, w, rows_t) = _cut(t, corner)
     return (
         TreeLikeTableau(BorderPath(steps_l), rows_l),
         TreeLikeTableau(BorderPath(steps_r), rows_r),
-        NonAmbiguousTree(TreeLikeTableau(BorderPath(steps_t), rows_t)),
+        NonAmbiguousTree(TreeLikeTableau(BorderPath(SOUTH * (w + 1) + WEST * (h + 1)), rows_t)),
     )
 
 
 def _glue(left: tuple, right: tuple, tree: tuple) -> tuple[TreeLikeTableau, Cell]:
-    # glue on rows: the parts as (steps, rows); only the result is validated
-    (steps_l, rows_l), (steps_r, rows_r), (steps_t, rows_t) = left, right, tree
+    # glue on rows: the pieces as (steps, rows), the tree as _cut's (h, w,
+    # rows), here (width, height, rows); only the result is validated
+    (steps_l, rows_l), (steps_r, rows_r), (width, height, rows_t) = left, right, tree
     if steps_l == WEST:
         raise ValueError("degenerate left piece must be the empty-row tableau")
     if steps_r == SOUTH:
         raise ValueError("degenerate right piece must be the empty-column tableau")
     fr_l = first_row_points(rows_l)
     fc_r = first_col_points(rows_r)
-    width, height = steps_t.count(WEST) - 1, steps_t.count(SOUTH) - 1
     if width != fr_l:
         raise ValueError(f"tree width {width} does not match left first-row dots {fr_l}")
     if height != fc_r:
@@ -200,9 +203,8 @@ def glue(
     """Inverse of cutting: rebuild the tableau and report its cut corner.
     The parts arrive validated; the rebuilt tableau goes through its
     validating constructor."""
-    tree = nat.tableau
     left, right = (t_l.path.steps, t_l.rows), (t_r.path.steps, t_r.rows)
-    return _glue(left, right, (tree.path.steps, tree.rows))
+    return _glue(left, right, (nat.width, nat.height, nat.tableau.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -813,24 +815,24 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
 
     A side piece of size k with d first-row (left) or first-column (right)
     dots becomes the permutation of k with d cycles of the same rank
-    (`_piece_rank`, `_perm_unrank`). The tree becomes the colored word
-    whose rank among the valid words of its alphabet, ordered
+    (`_piece_rank`, `_perm_unrank`). The two d are the tree's width h and
+    height w, which `_cut` returns with its rows. The tree becomes the
+    colored word whose rank among the valid words of its alphabet, ordered
     lexicographically by letter key (value first, unpointed before
     pointed) as `_word_unrank` walks them, equals the rank of the tree's
     transpose among `enumerate_nat` of its grid (`filling_rank`,
     `_word_unrank`). Every rank is counted from completion counts, so no
     tableau, permutation or grid is listed.
 
-    The pieces, cycles and word stay rows and tuples: `filling_rank` checks
+    The pieces, tree, cycles and word stay rows and tuples: `filling_rank` checks
     each piece and the tree as their constructors would, and the
     `MarkedRun` is the one object built. The recodings go through the
     two-way memos `_PIECES` and `_TREES`, so `run_to_corner` on the result
     recodes nothing, and a rejected piece raises on every call."""
-    (steps_l, rows_l), (steps_r, rows_r), (_, tree) = _cut(t, corner)
-    fr_l, fc_r = first_row_points(rows_l), first_col_points(rows_r)
-    l_cycles = _piece_to_cycles(first_row_points, fr_l, (steps_l, rows_l))
-    r_cycles = _piece_to_cycles(first_col_points, fc_r, (steps_r, rows_r))
-    return _triplet_to_run(l_cycles, r_cycles, _tree_to_letters(fr_l, fc_r, tree), fr_l, fc_r)
+    left, right, (h, w, tree) = _cut(t, corner)
+    l_cycles = _piece_to_cycles(first_row_points, h, left)
+    r_cycles = _piece_to_cycles(first_col_points, w, right)
+    return _triplet_to_run(l_cycles, r_cycles, _tree_to_letters(h, w, tree), h, w)
 
 
 def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
@@ -845,4 +847,4 @@ def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
     h, w = len(l_cycles), len(r_cycles)
     left = _cycles_to_piece(first_row_points, h, l_cycles)
     right = _cycles_to_piece(first_col_points, w, r_cycles)
-    return _glue(left, right, (SOUTH * (w + 1) + WEST * (h + 1), _letters_to_tree(h, w, letters)))
+    return _glue(left, right, (h, w, _letters_to_tree(h, w, letters)))

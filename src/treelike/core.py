@@ -329,13 +329,6 @@ def _tlt_paths(n: int) -> Iterator[str]:
         yield SOUTH + "".join(inner) + WEST
 
 
-def _pt_paths(n: int) -> Iterator[str]:
-    # column deletion: a permutation tableau's border is a tree-like border
-    # without its last W
-    for steps in _tlt_paths(n):
-        yield steps[:-1]
-
-
 # What one cell may hold, indexed by (has a filled cell to its left) * 2 +
 # (has a filled cell above it): bit 1 allows empty, bit 2 allows filled.
 _EMPTY, _FILLED, _EITHER = 1, 2, 3
@@ -599,8 +592,10 @@ def enumerate_pt(n: int) -> Iterator[PermutationTableau]:
     There are n! of them."""
     if n < 1:
         raise ValueError("length must be positive")
-    for steps in _pt_paths(n):
-        path = BorderPath(steps)
+    # column deletion: a permutation tableau's border is a tree-like border
+    # without its last W
+    for steps in _tlt_paths(n):
+        path = BorderPath(steps[:-1])
         for rows in pt_fillings(path.row_lengths, path.num_cols):
             yield PermutationTableau(path, rows)
 

@@ -22,7 +22,6 @@ from treelike.core import (
     Cell,
     TreeLikeTableau,
     _cell_moves,
-    _pt_paths,
     _tlt_completions,
     _tlt_paths,
     first_row_points,
@@ -226,7 +225,7 @@ def corner_positions(n: int, family: str) -> dict[int, int]:
     each border path's filling count (`tlt_filling_tallies` or
     `pt_filling_count`) times its corner labels."""
     out: dict[int, int] = {}
-    for steps in (_tlt_paths if family == "tlt" else _pt_paths)(n):
+    for steps in (s if family == "tlt" else s[:-1] for s in _tlt_paths(n)):
         path = BorderPath(steps)
         shape = (path.row_lengths, path.num_cols)
         if family == "tlt":

@@ -29,7 +29,6 @@ from treelike.core import (
     BorderPath,
     PermutationTableau,
     TreeLikeTableau,
-    _pt_paths,
     _tlt_paths,
     enumerate_nat,
     filling_rank,
@@ -225,7 +224,7 @@ def test_fillings_match_recursive_engine():
             p = BorderPath(steps)
             args = (p.row_lengths, p.num_cols)
             assert list(tlt_fillings(*args)) == list(recursive_tlt_fillings(*args)), steps
-        for steps in _pt_paths(n):
+        for steps in (s[:-1] for s in _tlt_paths(n)):
             p = BorderPath(steps)
             args = (p.row_lengths, p.num_cols)
             assert list(pt_fillings(*args)) == list(recursive_pt_fillings(*args)), steps
@@ -255,7 +254,7 @@ def test_fillings_are_the_valid_cell_assignments_in_order():
     for n in range(1, 7):
         for paths, fillings, cls in (
             (_tlt_paths(n), tlt_fillings, TreeLikeTableau),
-            (_pt_paths(n), pt_fillings, PermutationTableau),
+            ((s[:-1] for s in _tlt_paths(n)), pt_fillings, PermutationTableau),
         ):
             for steps in paths:
                 p = BorderPath(steps)
@@ -357,7 +356,7 @@ def test_text_matches_per_cell_rendering():
             for rows in tlt_fillings(p.row_lengths, p.num_cols):
                 t = TreeLikeTableau(p, rows)
                 assert to_text(t) == per_cell_text(t, ".", "o")
-        for steps in _pt_paths(n):
+        for steps in (s[:-1] for s in _tlt_paths(n)):
             p = BorderPath(steps)
             for rows in pt_fillings(p.row_lengths, p.num_cols):
                 pt = PermutationTableau(p, rows)

@@ -46,7 +46,6 @@ from treelike.core import (
     BorderPath,
     _cell_moves,
     _noc_class_at,
-    _pt_paths,
     _tlt_paths,
     first_col_points,
     first_row_points,
@@ -264,7 +263,7 @@ def sweep_pt_survey(n):
     """(PtSurvey, corners by row label)."""
     s = PtSurvey()
     corner_pos = {}
-    for steps in _pt_paths(n):
+    for steps in (s[:-1] for s in _tlt_paths(n)):
         path = BorderPath(steps)
         ncor = len(path.corner_cells)
         clabels = [c.row for c in path.corner_cells]
@@ -318,7 +317,7 @@ def path_tlt_survey(n):
 def path_pt_survey(n):
     """`pt_survey` summed path by path from `pt_filling_count`."""
     s = PtSurvey()
-    for steps in _pt_paths(n):
+    for steps in (s[:-1] for s in _tlt_paths(n)):
         path = BorderPath(steps)
         cnt = pt_filling_count(path.row_lengths, path.num_cols)
         s.count += cnt
@@ -414,7 +413,7 @@ def test_dp_tallies_equal_the_fillings_path_by_path():
         for steps in _tlt_paths(n):
             p = BorderPath(steps)
             assert tlt_filling_tallies(p.row_lengths, p.num_cols) == swept_tallies(p), steps
-        for steps in _pt_paths(n):
+        for steps in (s[:-1] for s in _tlt_paths(n)):
             p = BorderPath(steps)
             expected = sum(1 for _ in pt_fillings(p.row_lengths, p.num_cols))
             assert pt_filling_count(p.row_lengths, p.num_cols) == expected, steps
