@@ -56,6 +56,13 @@ def _enumerate_cases():
     for obj in ("tlt", "pt"):
         argv = ["enumerate", "--object", obj, "--size", "8", "--format", "text"]
         cases[" ".join(argv)] = (argv, "")
+    # the first one and two objects: where the text separator starts
+    for shape in (["--object", "tlt", "--size", "4"], ["--object", "pt", "--size", "4"],
+                  ["--object", "nat", "--height", "2", "--width", "2"]):
+        for limit in ("1", "2"):
+            for fmt in ("text", "json"):
+                argv = ["enumerate", *shape, "--limit", limit, "--format", fmt]
+                cases[" ".join(argv)] = (argv, "")
     return cases
 
 
