@@ -1,15 +1,17 @@
 """Command-line front end: enumerate, verify, biject.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or input errors.
-Output is byte-deterministic for a fixed command line, except for the
-elapsed-time column of verification rows.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or input errors, 141
+(quietly) on a stdout the reader closed early. Output is byte-deterministic
+for a fixed command line, except for the elapsed-time column of verify rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import islice
 
 from . import bijections, verify
 from .core import (
@@ -28,16 +30,13 @@ SEPARATOR = "---"
 
 
 def _emit_objects(objs, fmt: str, limit, out) -> None:
-    # the generator starts even at --limit 0, so a bad size still exits 2
-    for i, obj in enumerate(objs):
-        if i == limit:
-            break
-        if fmt == "json":
-            out.write(to_json(obj) + "\n")
-        else:
-            if i:
-                out.write(SEPARATOR + "\n")
-            out.write(to_text(obj) + "\n")
+    # one write per object; text objects after the first lead with a separator line
+    render, lead = (to_json, "") if fmt == "json" else (to_text, SEPARATOR + "\n")
+    first = next(objs, None)  # pulled even at --limit 0, so a bad size still exits 2
+    if first is not None and limit != 0:
+        out.write(render(first) + "\n")
+        for obj in islice(objs, None if limit is None else limit - 1):
+            out.write(lead + render(obj) + "\n")
 
 
 def _cmd_enumerate(args) -> int:
@@ -193,12 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = {"enumerate": _cmd_enumerate, "verify": _cmd_verify, "biject": _cmd_biject}
     try:
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_biject(args)
+        code = command[args.command](args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # end quietly, as a shell reports a SIGPIPE death; the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,13 +73,13 @@ def _path_shape(steps: str) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BorderPath:
     """Southeast border of a diagram, as a string over {S, W}.
 
-    Equality and hashing use the steps alone. The shape data below are
-    plain attributes, looked up once per instance from a cache shared by
-    every path with the same steps:
+    Equality and hashing use the steps alone. The constructor writes the
+    steps into `__dict__`, and `__post_init__` adds the shape data below as
+    plain attributes, from a cache shared by every path with the same steps:
 
     - `row_labels`: labels of the south steps, increasing = top to bottom;
     - `col_labels`: labels of the west steps, in increasing label order;
@@ -92,6 +92,10 @@ class BorderPath:
     """
 
     steps: str
+
+    def __init__(self, steps: str):
+        self.__dict__["steps"] = steps
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.steps, str):
@@ -114,20 +118,25 @@ class BorderPath:
         return len(self.col_labels) - bisect_right(self.col_labels, col_label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TreeLikeTableau:
     """A dotted diagram: root dot, one-parent rule, full row/column coverage.
 
     Two degenerate size-0 values exist so that corner cutting is total: a
     single empty row (path "S") and a single empty column (path "W").
-    The constructor stores `size`, the number of dots, as a plain attribute
-    that is not a field, so equality, hashing and repr see path and rows only.
-    It comes from the path, not from the rows: a valid tableau of n steps
-    holds n - 1 dots.
+    The constructor writes path and rows into `__dict__`, and `__post_init__`
+    checks them and puts `size`, the number of dots, beside them: not a field,
+    so equality, hashing and repr see path and rows only. It comes from the
+    path, not the rows: a valid tableau of n steps holds n - 1 dots.
     """
 
     path: BorderPath
     rows: tuple[int, ...]
+
+    def __init__(self, path: BorderPath, rows: tuple[int, ...]):
+        fields = self.__dict__
+        fields["path"], fields["rows"] = path, rows
+        self.__post_init__()
 
     def __post_init__(self):
         path, rows = self.path, self.rows
@@ -158,18 +167,17 @@ class TreeLikeTableau:
         # a dot needs exactly one parent: every dot but the row's first has
         # one to its left, so the first needs a dot above it and the others
         # must not have one. Row 0 passes once its root is dotted.
-        for r in range(1, len(rows)):
-            mask = rows[r]
+        for r, mask in enumerate(rows[1:], 2):  # r: the row's number
             low = mask & -mask
             if not low & above or (mask ^ low) & above:
                 if not mask:
-                    raise ValueError(f"row {r + 1} has no dot")
+                    raise ValueError(f"row {r} has no dot")
                 if low & above:
                     bad, where = (mask ^ low) & above, "both a left and an above dot"
                 else:
                     bad, where = low, "no parent dot"
                 raise ValueError(
-                    f"cell at row {r + 1}, column index {(bad & -bad).bit_length() - 1} has {where}"
+                    f"cell at row {r}, column index {(bad & -bad).bit_length() - 1} has {where}"
                 )
             above |= mask
         if above != path.col_mask:
@@ -182,13 +190,15 @@ class TreeLikeTableau:
         return self.size == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PermutationTableau:
     """A 0/1-filled diagram: every column holds a 1, and no 0 has a 1
     above it together with a 1 to its left. Rows of length zero are fine."""
 
     path: BorderPath
     rows: tuple[int, ...]  # bitmask of the 1s per row
+
+    __init__ = TreeLikeTableau.__init__  # the same direct store of path and rows
 
     def __post_init__(self):
         path, rows = self.path, self.rows
@@ -613,9 +623,9 @@ def enumerate_nat(h: int, w: int) -> Iterator[NonAmbiguousTree]:
 # serialization
 
 _CHARS = {TreeLikeTableau: ".o", PermutationTableau: "01"}
-# per family, the 8 cells of every byte-sized row mask, cell 0 first
+# per family and row length 0-8, the text of each mask; [::-1] puts bit 0 first
 _ROW_TABLES = {
-    cls: tuple("".join(chars[m >> c & 1] for c in range(8)) for m in range(256))
+    cls: tuple(tuple("".join(p)[::-1] for p in product(chars, repeat=lam)) for lam in range(9))
     for cls, chars in _CHARS.items()
 }
 
@@ -623,12 +633,12 @@ _ROW_TABLES = {
 def _path_and_lines(obj) -> tuple[str, list[str]]:
     if isinstance(obj, NonAmbiguousTree):
         obj = obj.tableau
-    table = _ROW_TABLES[type(obj)]
+    tables = _ROW_TABLES[type(obj)]
     # a longer row joins its 8-cell chunks
     lines = [
-        table[mask][:lam]
+        tables[lam][mask]
         if lam <= 8
-        else "".join([table[mask >> c & 255] for c in range(0, lam, 8)])[:lam]
+        else "".join([tables[8][mask >> c & 255] for c in range(0, lam, 8)])[:lam]
         for mask, lam in zip(obj.rows, obj.path.row_lengths)
     ]
     return obj.path.steps, lines

@@ -1,17 +1,20 @@
 """End-to-end command tests driven through main(argv)."""
 
 import concurrent.futures
+import contextlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
 from treelike import verify
 from treelike.cli import main
+from treelike.core import enumerate_nat, enumerate_pt, enumerate_tlt, to_json, to_text
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -117,6 +120,39 @@ class TestEnumerate:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--object", "zzz", "--size", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("limit", ["0", "1", "2", "1000"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "shape, make",
+        [
+            (("tlt", "--size", "4"), lambda: enumerate_tlt(4)),
+            (("pt", "--size", "4"), lambda: enumerate_pt(4)),
+            (("nat", "--height", "2", "--width", "2"), lambda: enumerate_nat(2, 2)),
+        ],
+        ids=["tlt", "pt", "nat"],
+    )
+    def test_one_write_per_printed_object(self, shape, make, fmt, limit):
+        # the benchmark times each object as the gap between two writes, so
+        # every printed object, its separator line included, is one write
+        class CountingStream(io.StringIO):
+            writes = 0
+
+            def write(self, s):
+                self.writes += 1
+                return super().write(s)
+
+        stream = CountingStream()
+        with contextlib.redirect_stdout(stream):
+            code = main(["enumerate", "--object", *shape, "--format", fmt, "--limit", limit])
+        objs = list(islice(make(), int(limit)))
+        if fmt == "json":
+            want = "".join(to_json(obj) + "\n" for obj in objs)
+        else:
+            want = "---\n".join(to_text(obj) + "\n" for obj in objs)
+        assert code == 0
+        assert stream.getvalue() == want
+        assert stream.writes == len(objs)
 
 
 class TestVerify:
@@ -363,6 +399,24 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_closed_pipe_ends_quietly():
+    # the reader takes one line and closes its end, as `| head -1` does; the
+    # rest of the 1.4 MB stream then meets a closed pipe
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = [sys.executable, "-m", "treelike", "enumerate", "--object", "tlt", "--size", "8"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b"SSSSSSSSW\n"
+    assert (code, err) == (141, b"")
 
 
 def test_commands_load_no_process_pool_or_csv():

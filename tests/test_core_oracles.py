@@ -21,6 +21,7 @@ from treelike.core import (
     _EMPTY,
     _FILLED,
     _PT_CELL,
+    _ROW_TABLES,
     _TLT_CELL,
     _TLT_ROOT,
     _TLT_ROW_END,
@@ -160,13 +161,14 @@ def per_cell_pt_check(path, rows):
         raise ValueError("some column has no 1")
 
 
+def per_cell_row(mask, lam, empty, full):
+    return "".join(full if (mask >> c) & 1 else empty for c in range(lam))
+
+
 def per_cell_text(obj, empty, full):
     return "\n".join(
         [obj.path.steps]
-        + [
-            "".join(full if (mask >> c) & 1 else empty for c in range(lam))
-            for mask, lam in zip(obj.rows, obj.path.row_lengths)
-        ]
+        + [per_cell_row(mask, lam, empty, full) for mask, lam in zip(obj.rows, obj.path.row_lengths)]
     )
 
 
@@ -363,3 +365,33 @@ def test_text_matches_per_cell_rendering():
                 assert to_text(pt) == per_cell_text(pt, "0", "1")
     for nat in enumerate_nat(2, 3):
         assert to_text(nat) == per_cell_text(nat.tableau, ".", "o")
+
+
+def test_row_tables_match_per_cell_rendering():
+    # every mask of every row length 0-8, in both families
+    for cls, (empty, full) in ((TreeLikeTableau, ".o"), (PermutationTableau, "01")):
+        tables = _ROW_TABLES[cls]
+        assert len(tables) == 9
+        for lam, table in enumerate(tables):
+            assert len(table) == 1 << lam
+            for mask, text in enumerate(table):
+                assert text == per_cell_row(mask, lam, empty, full)
+
+
+def test_rows_of_8_and_9_cells_match_per_cell_rendering():
+    # the longest row the tables hold next to the shortest chunk-joined one:
+    # rows of 9 and 8 cells, every filling of both families
+    path = BorderPath("SWSWWWWWWWW")
+    assert path.row_lengths == (9, 8)
+    for cls, fillings, (empty, full) in (
+        (TreeLikeTableau, tlt_fillings, ".o"),
+        (PermutationTableau, pt_fillings, "01"),
+    ):
+        count = 0
+        for rows in fillings(path.row_lengths, path.num_cols):
+            obj = cls(path, rows)
+            text = per_cell_text(obj, empty, full)
+            assert to_text(obj) == text
+            assert json.loads(to_json(obj)) == {"path": path.steps, "rows": text.split("\n")[1:]}
+            count += 1
+        assert count == (255 if cls is TreeLikeTableau else 511)
