@@ -504,17 +504,13 @@ def m_star(letters: tuple[ColoredLetter, ...]) -> tuple[ColoredLetter, ...]:
 # triplet <-> marked run
 
 
-def _triplet_to_run(l_cycles: tuple, r_cycles: tuple, letters: tuple, h: int, w: int) -> MarkedRun:
-    # triplet_to_run on cycle tuples and the letters of a word on the (h, w)
-    # alphabet; only the result is validated
-    if h != len(l_cycles) or w != len(r_cycles):
-        raise ValueError("word alphabet does not match the cycle counts")
-    if not _valid_word(letters):
-        raise ValueError("not a valid colored word")
+def _triplet_to_run(l_cycles: tuple, r_cycles: tuple, order: tuple) -> MarkedRun:
+    # triplet_to_run on cycle tuples and the block order of a word, its
+    # letters after the swap; nothing is checked, only the result validated
     v = sum(map(len, l_cycles)) + 1
     out: list[int] = []
     k = -1
-    for value, pointed in m_star(letters):
+    for value, pointed in order:
         if not pointed:
             out += [x + v for x in r_cycles[value - 1]]
         elif value:
@@ -530,13 +526,18 @@ def triplet_to_run(
 ) -> MarkedRun:
     """Substitute cycles for letters: pointed i becomes the i-th left
     cycle, unpointed j the j-th right cycle shifted up, and the pointed 0
-    the split value itself, after the block swap. Only the `MarkedRun` is
-    built; the inputs arrive validated."""
-    return _triplet_to_run(l_cycles.cycles, r_cycles.cycles, m.letters, m.h, m.w)
+    the split value itself, after the block swap. The word is checked
+    against the cycle counts, then for order; only the `MarkedRun` is built."""
+    if m.h != len(l_cycles.cycles) or m.w != len(r_cycles.cycles):
+        raise ValueError("word alphabet does not match the cycle counts")
+    if not _valid_word(m.letters):
+        raise ValueError("not a valid colored word")
+    return _triplet_to_run(l_cycles.cycles, r_cycles.cycles, m_star(m.letters))
 
 
 def _run_to_triplet(mr: MarkedRun) -> tuple[tuple, tuple, tuple]:
-    # run_to_triplet as (left cycles, right cycles, letters), nothing built
+    # run_to_triplet as (left cycles, right cycles, block order), nothing
+    # built: the order is the word's letters as the blocks hold them, unswapped
     p, k = mr.perm, mr.k
     v = p[k - 1]
     small, big = [], []  # the cycles of smaller and of larger values
@@ -559,13 +560,18 @@ def _run_to_triplet(mr: MarkedRun) -> tuple[tuple, tuple, tuple]:
     for i, c in enumerate(big, 1):
         letter[c[0]] = _letter(i, False)
     letter[v] = _POINTED_0
+    shifted = tuple([tuple([x - v for x in c]) for c in big])
+    return tuple(small), shifted, tuple([letter[e] for e in order])
+
+
+def _word_of(order: tuple) -> tuple[ColoredLetter, ...]:
     # the value after the mark is smaller, so the pointed 0 is last or
-    # followed by a pointed letter: m_star swaps exactly the words that end
+    # followed by a pointed letter: m_star swaps exactly the orders that end
     # unpointed, undoing the swap in triplet_to_run
-    letters = m_star(tuple([letter[e] for e in order]))
+    letters = m_star(order)
     if not _valid_word(letters):
         raise ValueError("the block order does not give a valid colored word")
-    return tuple(small), tuple([tuple([x - v for x in c]) for c in big]), letters
+    return letters
 
 
 def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
@@ -573,8 +579,8 @@ def run_to_triplet(mr: MarkedRun) -> tuple[CycleForm, CycleForm, ColoredWord]:
     smaller and larger values, break each block at its left-to-right
     maxima, and record the block order as a colored word. The three parts
     are built by their validating constructors."""
-    l_cycles, r_cycles, letters = _run_to_triplet(mr)
-    word = ColoredWord(letters, len(l_cycles), len(r_cycles))
+    l_cycles, r_cycles, order = _run_to_triplet(mr)
+    word = ColoredWord(_word_of(order), len(l_cycles), len(r_cycles))
     return CycleForm(l_cycles), CycleForm(r_cycles), word
 
 
@@ -791,18 +797,20 @@ def _unrank_piece(stat, d: int, cycles: tuple) -> tuple[str, tuple[int, ...]]:
 
 
 def _rank_tree(h: int, w: int, tree: tuple[int, ...]) -> tuple[ColoredLetter, ...]:
-    # the word pairs with the transpose of the tree, ranked in place
+    # the block order of the word paired with the tree's transpose, ranked in place
     if len(tree) != w + 1 or any(row >> h + 1 for row in tree):
         raise ValueError(f"the tree does not fill the {w + 1} x {h + 1} grid")
-    return _word_unrank(h, w, filling_rank((w + 1,) * (h + 1), w + 1, transpose_bits(tree, h + 1)))
+    rank = filling_rank((w + 1,) * (h + 1), w + 1, transpose_bits(tree, h + 1))
+    return m_star(_word_unrank(h, w, rank))
 
 
-def _unrank_tree(h: int, w: int, word: tuple) -> tuple[int, ...]:
-    return transpose_bits(filling_unrank((w + 1,) * (h + 1), w + 1, _word_rank(h, w, word)), w + 1)
+def _unrank_tree(h: int, w: int, order: tuple) -> tuple[int, ...]:
+    rank = _word_rank(h, w, _word_of(order))
+    return transpose_bits(filling_unrank((w + 1,) * (h + 1), w + 1, rank), w + 1)
 
 
 # for each stat and d, the side pieces with stat d and the permutations with
-# d cycles; for each (h, w), the trees of the grid and the words of the alphabet
+# d cycles; for each (h, w), the trees of the grid and the words' block orders
 _PIECES = _TwoWayMemo(_rank_piece, _unrank_piece)
 _TREES = _TwoWayMemo(_rank_tree, _unrank_tree)
 _piece_to_cycles, _cycles_to_piece = _PIECES.forward, _PIECES.inverse
@@ -828,23 +836,25 @@ def corner_to_run(t: TreeLikeTableau, corner: Cell) -> MarkedRun:
     each piece and the tree as their constructors would, and the
     `MarkedRun` is the one object built. The recodings go through the
     two-way memos `_PIECES` and `_TREES`, so `run_to_corner` on the result
-    recodes nothing, and a rejected piece raises on every call."""
+    recodes nothing, and a rejected piece raises on every call. `_TREES`
+    pairs the tree with the word's block order, its letters after `m_star`,
+    so the swap runs only when a tree is recoded and a memo hit runs none."""
     left, right, (h, w, tree) = _cut(t, corner)
     l_cycles = _piece_to_cycles(first_row_points, h, left)
     r_cycles = _piece_to_cycles(first_col_points, w, right)
-    return _triplet_to_run(l_cycles, r_cycles, _tree_to_letters(h, w, tree), h, w)
+    return _triplet_to_run(l_cycles, r_cycles, _tree_to_letters(h, w, tree))
 
 
 def run_to_corner(mr: MarkedRun) -> tuple[TreeLikeTableau, Cell]:
     """Inverse of the corner-to-run map: split the run into cycles and a
-    colored word, unrank each side piece at its cycles' rank (`_perm_rank`,
-    `_piece_unrank`), and unrank the tree that pairs with the word
-    (`_word_rank`, `filling_unrank`) straight into the rows of its
-    transpose, through the memos of `corner_to_run`. Unranking emits only
-    valid pieces, so the glued `TreeLikeTableau` is the one object built
-    and validated."""
-    l_cycles, r_cycles, letters = _run_to_triplet(mr)
+    block order, unrank each side piece at its cycles' rank (`_perm_rank`,
+    `_piece_unrank`), and unrank the tree that pairs with the order's
+    colored word (`m_star`, `_word_rank`, `filling_unrank`) straight into
+    the rows of its transpose, through the memos of `corner_to_run`, so a
+    memo hit swaps and checks no word. Unranking emits only valid pieces,
+    so the glued `TreeLikeTableau` is the one object built and validated."""
+    l_cycles, r_cycles, order = _run_to_triplet(mr)
     h, w = len(l_cycles), len(r_cycles)
     left = _cycles_to_piece(first_row_points, h, l_cycles)
     right = _cycles_to_piece(first_col_points, w, r_cycles)
-    return _glue(left, right, (h, w, _letters_to_tree(h, w, letters)))
+    return _glue(left, right, (h, w, _letters_to_tree(h, w, order)))

@@ -436,53 +436,55 @@ def pt_fillings(lengths: tuple[int, ...], width: int) -> Iterator[tuple[int, ...
 
 
 @lru_cache(maxsize=2048)
-def _tlt_completions(lengths: tuple[int, ...], width: int, stat=None) -> tuple[tuple, int, list]:
-    """(steps, lane, table) for the tree-like fillings of a shape, one per
-    shape and statistic: `stat` `first_row_points` or `first_col_points`
-    counts the dots of the first row or the first column, None counts none.
+def _tlt_completions(lengths: tuple[int, ...], width: int, stat=None) -> tuple:
+    """(cells, lane, total, complete) for the tree-like fillings of a
+    shape, one per shape and statistic: `stat` `first_row_points` or
+    `first_col_points` counts the dots of the first row or the first
+    column, None counts none.
 
-    `steps` holds, per cell move of `_cell_moves`, (r, bit, counted, after):
-    whether stat counts the cell's dot, and how many counted cells follow
-    it. `table` holds, per position, {state key: (n, n_empty, empty,
-    filled)} over the states the walk reaches. From the state, lane j of `n`
-    (`lane` bits from j * lane up) counts the fillings that complete with j
-    more counted dots, and `n_empty` those that leave the cell empty;
-    `empty` and `filled` are the keys after the cell, None where its rule
-    forbids that branch. One forward pass finds the states and their
-    successors and one backward pass counts, shifting the filled branch up
-    a lane at a counted cell, so rank and unrank only read the table. A
-    lane counts at most 2^cells fillings."""
+    The walk's states before each cell are numbered from 0, the start
+    state. `cells` holds, per cell move of `_cell_moves`, (r, bit, counted,
+    after, n_empty, empty, filled): whether stat counts the cell's dot, how
+    many counted cells follow it, and three lists by state number: the
+    fillings that leave the cell empty, and the state numbers after the
+    empty and the filled branch, -1 where the cell's rule forbids that
+    branch. A count holds lane j (`lane` bits from j * lane up) for the
+    fillings that complete with j more counted dots; `total` is the count
+    from the start, and `complete` numbers the one final state with a dot
+    in every column, -1 when no filling has one. One forward pass numbers
+    the states and their successors and one backward pass counts, shifting
+    the filled branch up a lane at a counted cell, so rank and unrank only
+    index lists. A lane counts at most 2^cells fillings."""
     moves = _cell_moves(lengths, _TLT_RULES)
     counted = [
         (stat is first_row_points and r == 0) or (stat is first_col_points and bit == 2)
         for r, bit, _, _ in moves
     ]
-    steps = []
     after = sum(counted)
-    table: list = []
-    keys = {0}
+    cells = []
+    states = {0: 0}  # the keys before the cell, by number
     for (r, bit, may, end), c in zip(moves, counted):
         after -= c
-        steps.append((r, bit, c, after))
-        here: dict = {}
-        for key in keys:
+        number: dict = {}
+        empty, filled = [], []
+        for key in states:
             ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
-            empty = (key & ~1 if end else key) if ok & _EMPTY else None
-            filled = ((key | bit) & ~1 if end else key | bit | 1) if ok & _FILLED else None
-            here[key] = (empty, filled)
-        table.append(here)
-        keys = {key for branches in here.values() for key in branches if key is not None}
+            to = key & ~1 if end else key
+            empty.append(number.setdefault(to, len(number)) if ok & _EMPTY else -1)
+            to = (key | bit) & ~1 if end else key | bit | 1
+            filled.append(number.setdefault(to, len(number)) if ok & _FILLED else -1)
+        cells.append((r, bit, c, after, empty, filled))
+        states = number
     done = ((1 << width) - 1) << 1
-    table.append({key: (1 if key == done else 0,) for key in keys})
     lane = len(moves) + 1
-    for p in range(len(moves) - 1, -1, -1):
-        after_cell, here = table[p + 1], table[p]
-        for key, (empty, filled) in here.items():
-            n = n_empty = 0 if empty is None else after_cell[empty][0]
-            if filled is not None:
-                n += after_cell[filled][0] << lane * counted[p]
-            here[key] = (n, n_empty, empty, filled)
-    return tuple(steps), lane, table
+    # counts by state number, with a trailing 0 that a forbidden branch's -1 reads
+    n = [int(key == done) for key in states] + [0]
+    for p in range(len(cells) - 1, -1, -1):
+        r, bit, c, after, empty, filled = cells[p]
+        n_empty = [n[e] for e in empty]
+        n = [m + (n[f] << lane * c) for m, f in zip(n_empty, filled)] + [0]
+        cells[p] = (r, bit, c, after, n_empty, empty, filled)
+    return tuple(cells), lane, n[0], states.get(done, -1)
 
 
 def filling_rank(
@@ -493,36 +495,36 @@ def filling_rank(
     the filling passes over. With `dots` = (stat, d) only the fillings with
     stat d count: each cell reads the lane of the counted dots still to
     place, and a branch that leaves more than d of them, or too few counted
-    cells to reach d, counts as forbidden. Raises ValueError when the
-    tree-like rules reject the filling, or when its stat is not d."""
+    cells to reach d, counts as forbidden. The walk carries the number of
+    its state in `_tlt_completions`. Raises ValueError when the tree-like
+    rules reject the filling, or when its stat is not d."""
     stat, d = dots or (None, 0)  # from here on, d counts the dots still to place
     if d and stat is None:
         raise ValueError(f"{d} dots asked for with no statistic to count them")
-    steps, lane, table = _tlt_completions(lengths, width, stat)
+    cells, lane, _, complete = _tlt_completions(lengths, width, stat)
     if len(rows) != len(lengths):
         raise ValueError("row count does not match the shape")
     # a negative mask shifts to -1, so one pass finds it too
     if any(map(rshift, rows, lengths)):
         raise ValueError("dot outside its row")
     mask = (1 << lane) - 1
-    rank = key = 0
-    for (r, bit, counted, after), here in zip(steps, table):
-        _, n_empty, empty, filled = here[key]
+    rank = s = 0
+    for r, bit, counted, after, n_empty, empty, filled in cells:
         if rows[r] << 1 & bit:
-            if filled is None or counted and not 0 < d <= after + 1:
+            if filled[s] < 0 or counted and not 0 < d <= after + 1:
                 raise ValueError(
                     f"cell at row {r + 1}, column index {bit.bit_length() - 2} may not hold a dot"
                 )
-            rank += n_empty >> d * lane & mask
-            key = filled
+            rank += n_empty[s] >> d * lane & mask
+            s = filled[s]
             d -= counted
-        elif empty is None or counted and d > after:
+        elif empty[s] < 0 or counted and d > after:
             raise ValueError(
                 f"cell at row {r + 1}, column index {bit.bit_length() - 2} must hold a dot"
             )
         else:
-            key = empty
-    if d or not table[-1][key][0]:
+            s = empty[s]
+    if d or s != complete:
         raise ValueError("some column has no dot")
     return rank
 
@@ -532,27 +534,27 @@ def filling_unrank(
 ) -> tuple[int, ...]:
     """The filling at position `index` of `tlt_fillings(lengths, width)`,
     or of those with stat d when `dots` = (stat, d), one bitmask per row,
-    built cell by cell: the empty branch when `index` is below the number
-    of fillings through it with the counted dots still to place, else a
-    dot, with those fillings skipped."""
+    built cell by cell from the state numbers of `_tlt_completions`: the
+    empty branch when `index` is below the number of fillings through it
+    with the counted dots still to place, else a dot, with those fillings
+    skipped."""
     stat, d = dots or (None, 0)  # from here on, d counts the dots still to place
     if d and stat is None:
         raise ValueError(f"{d} dots asked for with no statistic to count them")
-    steps, lane, table = _tlt_completions(lengths, width, stat)
+    cells, lane, total, _ = _tlt_completions(lengths, width, stat)
     mask = (1 << lane) - 1
-    if d < 0 or not 0 <= index < table[0][0][0] >> d * lane & mask:
+    if d < 0 or not 0 <= index < total >> d * lane & mask:
         raise ValueError(f"no filling at index {index}")
     rows = [0] * len(lengths)
-    key = 0
-    for (r, bit, counted, _), here in zip(steps, table):
-        _, n_empty, empty, filled = here[key]
-        n = n_empty >> d * lane & mask
+    s = 0
+    for r, bit, counted, _, n_empty, empty, filled in cells:
+        n = n_empty[s] >> d * lane & mask
         if index < n:
-            key = empty
+            s = empty[s]
         else:
             index -= n
             rows[r] |= bit >> 1
-            key = filled
+            s = filled[s]
             d -= counted
     return tuple(rows)
 

@@ -6,7 +6,9 @@ read or hold the package against, kept in one place that several test
 modules import.
 """
 
+from functools import lru_cache
 from math import comb, factorial
+from operator import rshift
 from typing import Iterator
 
 from treelike.abpoly import A, B, BivarPoly, t_poly
@@ -24,6 +26,7 @@ from treelike.core import (
     _cell_moves,
     _tlt_completions,
     _tlt_paths,
+    first_col_points,
     first_row_points,
 )
 from treelike.counting import exact_div
@@ -53,11 +56,136 @@ def dot_cells(t: TreeLikeTableau) -> frozenset[Cell]:
 
 def filling_count(lengths: tuple[int, ...], width: int, dots: tuple | None = None) -> int:
     """How many fillings `tlt_fillings(lengths, width)` yields; with `dots`
-    = (stat, d), how many of them have stat d: lane d of the count at the
-    start of the completion table that rank and unrank walk."""
+    = (stat, d), how many of them have stat d: lane d of the lane-packed
+    total of the completion table that rank and unrank walk."""
     stat, d = dots or (None, 0)
-    _, lane, table = _tlt_completions(lengths, width, stat)
+    _, lane, total, _ = _tlt_completions(lengths, width, stat)
+    return total >> d * lane & ((1 << lane) - 1) if d >= 0 else 0
+
+
+# ---------------------------------------------------------------------------
+# the dict-table rank walks that the dense ones in `core` replaced, kept as
+# the reference: per cell, a dict from each reachable state key to its
+# counts and successor keys
+
+
+@lru_cache(maxsize=16)
+def dict_completions(lengths: tuple[int, ...], width: int, stat=None) -> tuple[tuple, int, list]:
+    """(steps, lane, table) for the tree-like fillings of a shape, one per
+    shape and statistic: `stat` `first_row_points` or `first_col_points`
+    counts the dots of the first row or the first column, None counts none.
+
+    `steps` holds, per cell move of `_cell_moves`, (r, bit, counted, after):
+    whether stat counts the cell's dot, and how many counted cells follow
+    it. `table` holds, per position, {state key: (n, n_empty, empty,
+    filled)} over the states the walk reaches. From the state, lane j of `n`
+    (`lane` bits from j * lane up) counts the fillings that complete with j
+    more counted dots, and `n_empty` those that leave the cell empty;
+    `empty` and `filled` are the keys after the cell, None where its rule
+    forbids that branch. One forward pass finds the states and their
+    successors and one backward pass counts, shifting the filled branch up
+    a lane at a counted cell. A lane counts at most 2^cells fillings."""
+    moves = _cell_moves(lengths, _TLT_RULES)
+    counted = [
+        (stat is first_row_points and r == 0) or (stat is first_col_points and bit == 2)
+        for r, bit, _, _ in moves
+    ]
+    steps = []
+    after = sum(counted)
+    table: list = []
+    keys = {0}
+    for (r, bit, may, end), c in zip(moves, counted):
+        after -= c
+        steps.append((r, bit, c, after))
+        here: dict = {}
+        for key in keys:
+            ok = may[(key & 1) << 1 | (1 if key & bit else 0)]
+            empty = (key & ~1 if end else key) if ok & _EMPTY else None
+            filled = ((key | bit) & ~1 if end else key | bit | 1) if ok & _FILLED else None
+            here[key] = (empty, filled)
+        table.append(here)
+        keys = {key for branches in here.values() for key in branches if key is not None}
+    done = ((1 << width) - 1) << 1
+    table.append({key: (1 if key == done else 0,) for key in keys})
+    lane = len(moves) + 1
+    for p in range(len(moves) - 1, -1, -1):
+        after_cell, here = table[p + 1], table[p]
+        for key, (empty, filled) in here.items():
+            n = n_empty = 0 if empty is None else after_cell[empty][0]
+            if filled is not None:
+                n += after_cell[filled][0] << lane * counted[p]
+            here[key] = (n, n_empty, empty, filled)
+    return tuple(steps), lane, table
+
+
+def dict_filling_count(lengths: tuple[int, ...], width: int, dots: tuple | None = None) -> int:
+    """`filling_count` read off the dict table: lane d of the count at the
+    start state."""
+    stat, d = dots or (None, 0)
+    _, lane, table = dict_completions(lengths, width, stat)
     return table[0][0][0] >> d * lane & ((1 << lane) - 1) if d >= 0 else 0
+
+
+def dict_filling_rank(
+    lengths: tuple[int, ...], width: int, rows: tuple[int, ...], dots: tuple | None = None
+) -> int:
+    """`core.filling_rank` walking the dict table by state key."""
+    stat, d = dots or (None, 0)  # from here on, d counts the dots still to place
+    if d and stat is None:
+        raise ValueError(f"{d} dots asked for with no statistic to count them")
+    steps, lane, table = dict_completions(lengths, width, stat)
+    if len(rows) != len(lengths):
+        raise ValueError("row count does not match the shape")
+    # a negative mask shifts to -1, so one pass finds it too
+    if any(map(rshift, rows, lengths)):
+        raise ValueError("dot outside its row")
+    mask = (1 << lane) - 1
+    rank = key = 0
+    for (r, bit, counted, after), here in zip(steps, table):
+        _, n_empty, empty, filled = here[key]
+        if rows[r] << 1 & bit:
+            if filled is None or counted and not 0 < d <= after + 1:
+                raise ValueError(
+                    f"cell at row {r + 1}, column index {bit.bit_length() - 2} may not hold a dot"
+                )
+            rank += n_empty >> d * lane & mask
+            key = filled
+            d -= counted
+        elif empty is None or counted and d > after:
+            raise ValueError(
+                f"cell at row {r + 1}, column index {bit.bit_length() - 2} must hold a dot"
+            )
+        else:
+            key = empty
+    if d or not table[-1][key][0]:
+        raise ValueError("some column has no dot")
+    return rank
+
+
+def dict_filling_unrank(
+    lengths: tuple[int, ...], width: int, index: int, dots: tuple | None = None
+) -> tuple[int, ...]:
+    """`core.filling_unrank` walking the dict table by state key."""
+    stat, d = dots or (None, 0)  # from here on, d counts the dots still to place
+    if d and stat is None:
+        raise ValueError(f"{d} dots asked for with no statistic to count them")
+    steps, lane, table = dict_completions(lengths, width, stat)
+    mask = (1 << lane) - 1
+    if d < 0 or not 0 <= index < table[0][0][0] >> d * lane & mask:
+        raise ValueError(f"no filling at index {index}")
+    rows = [0] * len(lengths)
+    key = 0
+    for (r, bit, counted, _), here in zip(steps, table):
+        _, n_empty, empty, filled = here[key]
+        n = n_empty >> d * lane & mask
+        if index < n:
+            key = empty
+        else:
+            index -= n
+            rows[r] |= bit >> 1
+            key = filled
+            d -= counted
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

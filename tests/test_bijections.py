@@ -15,6 +15,7 @@ from oracles import (
     enumerate_colored_words,
     filling_count,
 )
+from treelike import bijections
 from treelike.bijections import (
     _PIECES,
     _TREES,
@@ -351,6 +352,18 @@ class TestTripletRun:
                 ),
             )
 
+    def test_check_order(self):
+        # the alphabet is checked before the word's order, and both before
+        # the block swap, which would reject "0* 1" with its own message:
+        # its one block after the pointed 0 has no partner
+        word = parse_colored_word("0* 1")
+        with pytest.raises(ValueError, match="^word alphabet does not match the cycle counts$"):
+            triplet_to_run(parse_cycle_form("(1)"), parse_cycle_form(""), word)
+        with pytest.raises(ValueError, match="^not a valid colored word$"):
+            triplet_to_run(parse_cycle_form(""), parse_cycle_form("(1)"), word)
+        with pytest.raises(ValueError, match="block pairs"):
+            m_star(word.letters)
+
 
 class TestCornerRun:
     @pytest.mark.parametrize("n", range(1, 6))
@@ -464,6 +477,33 @@ class TestTwoWayMemo:
                     assert after[0] - pieces <= 2 and after[1] - trees <= 1
                     assert corner_to_run(t, c) == mr
                     assert _misses() == after
+
+    def test_memo_hit_runs_no_block_swap(self, monkeypatch):
+        # `_TREES` pairs each tree with its word's block order, so the swap
+        # and the word check run only when a tree is recoded: each at most
+        # once per miss on the first pass, and not at all on the second,
+        # which hits every time
+        calls = Counter()
+        for name in ("m_star", "_valid_word"):
+
+            def counted(letters, real=getattr(bijections, name), name=name):
+                calls[name] += 1
+                return real(letters)
+
+            monkeypatch.setattr(bijections, name, counted)
+        corners = [(t, c) for n in range(1, 6) for t in enumerate_tlt(n) for c in t.path.corner_cells]
+        for memo in (_PIECES, _TREES):
+            memo.cache_clear()
+        for first in (True, False):
+            calls.clear()
+            before = _TREES.cache_info().misses
+            for t, c in corners:
+                assert run_to_corner(corner_to_run(t, c)) == (t, c)
+            misses = _TREES.cache_info().misses - before
+            if first:
+                assert 0 < calls["m_star"] <= misses and calls["_valid_word"] <= misses
+            else:
+                assert misses == 0 and calls == {}
 
     def test_bound_holds_and_directions_agree(self):
         # more pairs than the bound, met from both sides: after every call

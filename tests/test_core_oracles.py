@@ -12,10 +12,19 @@ import json
 from collections import Counter
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import filling_count, pt_filling_count, tlt_dot_counts, tlt_filling_tallies
+from oracles import (
+    dict_filling_count,
+    dict_filling_rank,
+    dict_filling_unrank,
+    filling_count,
+    pt_filling_count,
+    tlt_dot_counts,
+    tlt_filling_tallies,
+)
 from treelike.bijections import pt_to_tlt
 from treelike.core import (
     _EMPTY,
@@ -395,3 +404,50 @@ def test_rows_of_8_and_9_cells_match_per_cell_rendering():
             assert json.loads(to_json(obj)) == {"path": path.steps, "rows": text.split("\n")[1:]}
             count += 1
         assert count == (255 if cls is TreeLikeTableau else 511)
+
+
+# ---------------------------------------------------------------------------
+# the dense rank walks against the dict-table ones of `oracles`
+
+
+def _outcome(f, *args):
+    # what a call returns, or the text of the ValueError it raises
+    try:
+        return f(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)]
+)
+def test_dense_walks_match_the_dict_tables(n):
+    # every shape of size n, every stat and every d from -1 to one past the
+    # counted cells: the same counts, the same filling at every index (and
+    # the same error one past either end), and for every filling, each of
+    # its one-cell flips, a wrong row count and a dot outside its row, the
+    # same rank or the same error
+    for steps in _tlt_paths(n):
+        path = BorderPath(steps)
+        lengths, width = path.row_lengths, path.num_cols
+        cells = [(r, 1 << c) for r, lam in enumerate(lengths) for c in range(lam)]
+        inputs = []
+        for rows in tlt_fillings(lengths, width):
+            inputs.append(rows)
+            for r, bit in cells:
+                inputs.append(rows[:r] + (rows[r] ^ bit,) + rows[r + 1 :])
+            inputs += [rows + (0,), rows[:-1], (rows[0] | 1 << lengths[0],) + rows[1:]]
+        counted = {None: 0, first_row_points: lengths[0], first_col_points: len(lengths) - lengths.count(0)}
+        for stat, count in counted.items():
+            for d in range(-1, count + 2):
+                dots = (stat, d)
+                total = dict_filling_count(lengths, width, dots)
+                assert filling_count(lengths, width, dots) == total, (steps, d)
+                for index in range(-1, total + 1):
+                    assert _outcome(filling_unrank, lengths, width, index, dots) == _outcome(
+                        dict_filling_unrank, lengths, width, index, dots
+                    ), (steps, d, index)
+                for rows in inputs:
+                    assert _outcome(filling_rank, lengths, width, rows, dots) == _outcome(
+                        dict_filling_rank, lengths, width, rows, dots
+                    ), (steps, d, rows)

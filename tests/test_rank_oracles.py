@@ -56,6 +56,7 @@ from treelike.bijections import (
     count_colored_words,
     cut_at_corner,
     glue,
+    m_star,
     parse_colored_word,
     pt_to_tlt,
     run_to_corner,
@@ -569,14 +570,23 @@ def test_word_rank_rejects_letters_that_are_no_arrangement(h, w, text):
 
 
 def test_rejected_word_stores_no_tree():
+    # the tree memo's inverse key is a word's block order, its letters after
+    # the swap: an order whose swap is no valid word, and one whose swap is
+    # in order but no arrangement of the alphabet, raise on every call and
+    # store nothing
     _TREES.cache_clear()
-    for _ in range(2):
-        with pytest.raises(ValueError, match="not a valid colored word"):
-            _letters_to_tree(2, 1, _letters("0* 1 0* 2*"))
+    rejected = [
+        ("0* 1 0* 2*", "^the block order does not give a valid colored word$"),  # swaps to "0* 0* 2* 1"
+        ("1 0* 1* 3*", "^not a valid colored word$"),  # its own swap; pointed 3 outside the alphabet
+    ]
+    for text, match in rejected:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                _letters_to_tree(2, 1, _letters(text))
     assert _TREES.cache_info().currsize == 0
-    # the tree at rank 0, which the word above ranked as
-    letters = _tree_to_letters(2, 1, (7, 4))
-    assert letters == _word_unrank(2, 1, 0) and _valid_word(ColoredWord(letters, 2, 1).letters)
+    # the tree at rank 0 pairs with the block order of the word at rank 0
+    order = _tree_to_letters(2, 1, (7, 4))
+    assert m_star(order) == _word_unrank(2, 1, 0) and _valid_word(ColoredWord(m_star(order), 2, 1).letters)
 
 
 def test_negative_alphabet():
