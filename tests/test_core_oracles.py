@@ -5,7 +5,9 @@ row at a time with mask arithmetic, and rows are rendered from a table of
 8-cell strings. The reference versions below are the earlier recursive
 engine and per-dot / per-cell loops, kept here unchanged as oracles: the
 fast code must yield the same sequences, accept and reject exactly the same
-inputs with the same first error, and write the same text.
+inputs with the same first error, and write the same text. The rank walks
+step by state number through dense per-cell lists; the dict-table walks
+they replaced are the oracles in `oracles.py`, held to the same rule.
 """
 
 import json
