@@ -6,6 +6,7 @@ read or hold the package against, kept in one place that several test
 modules import.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 from math import comb, factorial
 from operator import rshift
@@ -52,6 +53,38 @@ def dot_cells(t: TreeLikeTableau) -> frozenset[Cell]:
         for row_label, mask in zip(t.path.row_labels, t.rows)
         for c in bits(mask)
     )
+
+
+def path_shape(steps: str) -> dict:
+    """The shape data of a border path, built per step string as the dict
+    that every `BorderPath` once copied into its own `__dict__`: the oracle
+    for the attributes of the shared path objects."""
+    if not steps:
+        raise ValueError("empty step sequence")
+    bad = set(steps) - {SOUTH, WEST}
+    if bad:
+        raise ValueError(f"invalid steps: {sorted(bad)!r}")
+    rows = tuple(i + 1 for i, ch in enumerate(steps) if ch == SOUTH)
+    cols = tuple(i + 1 for i, ch in enumerate(steps) if ch == WEST)
+    lengths = tuple(len(cols) - bisect_right(cols, r) for r in rows)
+    corners = tuple(
+        Cell(i + 1, i + 2)
+        for i in range(len(steps) - 1)
+        if steps[i] == SOUTH and steps[i + 1] == WEST
+    )
+    # a corner is the last cell of its row
+    positions = []
+    for cell in corners:
+        r = rows.index(cell.row)
+        positions.append((r, lengths[r] - 1))
+    return {
+        "row_labels": rows,
+        "col_labels": cols,
+        "row_lengths": lengths,
+        "corner_cells": corners,
+        "corner_grid_positions": tuple(positions),
+        "col_mask": (1 << len(cols)) - 1,
+    }
 
 
 def filling_count(lengths: tuple[int, ...], width: int, dots: tuple | None = None) -> int:

@@ -1,17 +1,22 @@
 """Diagram geometry, object validation, enumeration and serialization."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from itertools import product
 
 import pytest
 
 from oracles import EMPTY_COL_TABLEAU, EMPTY_ROW_TABLEAU, dot_cells, tlt_dot_counts
+from treelike.bijections import corner_to_run, cut_at_corner, glue, pt_to_tlt, run_to_corner, tlt_to_pt
 from treelike.core import (
     BorderPath,
     Cell,
     NonAmbiguousTree,
     PermutationTableau,
     TreeLikeTableau,
+    _interned_path,
     enumerate_nat,
     enumerate_pt,
     enumerate_tlt,
@@ -41,15 +46,19 @@ class TestBorderPath:
 
     def test_shape_shared_by_equal_paths(self):
         p, q = BorderPath("SWSSWWWS"), BorderPath("SWSSWWWS")
-        assert p == q and hash(p) == hash(q)
-        assert p.row_lengths is q.row_lengths
+        assert p is q  # one shared path per step string
         assert p.corner_grid_positions == ((0, 3), (2, 2))
         assert p != BorderPath("SWSSWWWSW")
 
     @pytest.mark.parametrize("steps", ["", "SXW", None, ["S", "W"]])
     def test_bad_steps_are_value_error(self, steps):
-        with pytest.raises(ValueError):
+        # the exact texts, and a rejected step string leaves no path cached
+        texts = {"": "empty step sequence", "SXW": "invalid steps: ['X']"}
+        held = _interned_path.cache_info().currsize
+        with pytest.raises(ValueError) as err:
             BorderPath(steps)
+        assert str(err.value) == (texts[steps] if isinstance(steps, str) else "steps must be a string")
+        assert _interned_path.cache_info().currsize == held
 
     def test_all_south(self):
         p = BorderPath("SSS")
@@ -72,6 +81,43 @@ class TestBorderPath:
             BorderPath("")
         with pytest.raises(ValueError):
             BorderPath("SXW")
+
+
+class TestPathInterning:
+    """`BorderPath(steps)` is the one validated path of its step string, and
+    every tableau that a map, an enumeration or a parser returns holds it."""
+
+    @staticmethod
+    def _interned(*objects):
+        for obj in objects:
+            path = obj.tableau.path if isinstance(obj, NonAmbiguousTree) else obj.path
+            assert path is BorderPath(path.steps)
+
+    def test_enumerated_and_parsed_objects_hold_the_interned_path(self):
+        for n in range(1, 6):
+            self._interned(*enumerate_tlt(n), *enumerate_pt(n))
+        for h, w in product(range(3), repeat=2):
+            self._interned(*enumerate_nat(h, w))
+        self._interned(
+            parse_tlt(SIZE8_TEXT), parse_pt("SSWW\n11\n01"), parse_nat("SSWW\noo\no.")
+        )
+
+    def test_maps_return_the_interned_path(self):
+        for n in range(1, 6):
+            for t in enumerate_tlt(n):
+                self._interned(tlt_to_pt(t), pt_to_tlt(tlt_to_pt(t)), transpose(t))
+                for c in t.path.corner_cells:
+                    parts = cut_at_corner(t, c)
+                    self._interned(*parts, glue(*parts)[0], run_to_corner(corner_to_run(t, c))[0])
+
+    @pytest.mark.parametrize(
+        "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy, dataclasses.replace]
+    )
+    def test_pickle_copy_and_replace_give_the_interned_path(self, clone):
+        p = BorderPath("SWSSWWWSW")
+        assert clone(p) is p
+        t = parse_tlt(SIZE8_TEXT)
+        assert clone(t).path is t.path
 
 
 class TestTreeLikeValidation:
@@ -366,6 +412,7 @@ def test_every_cache_is_bounded():
         if hasattr(obj, "cache_parameters") and not isinstance(obj, type)
     }
     assert {
+        "treelike.core._interned_path",
         "treelike.core._tlt_completions",
         "treelike.counting.stirling_row",
         "treelike.bijections._PIECES",

@@ -12,7 +12,7 @@ they replaced are the oracles in `oracles.py`, held to the same rule.
 
 import json
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from oracles import (
     dict_filling_rank,
     dict_filling_unrank,
     filling_count,
+    path_shape,
     pt_filling_count,
     tlt_dot_counts,
     tlt_filling_tallies,
@@ -453,3 +454,45 @@ def test_dense_walks_match_the_dict_tables(n):
                     assert _outcome(filling_rank, lengths, width, rows, dots) == _outcome(
                         dict_filling_rank, lengths, width, rows, dots
                     ), (steps, d, rows)
+
+
+# ---------------------------------------------------------------------------
+# the shared path objects against the per-string shape dicts they replaced
+
+
+def _shape_cases():
+    # every tree-like path of sizes 1-9 and its permutation-tableau form,
+    # every tree grid of up to 10 steps, and the two one-step paths
+    for n in range(1, 10):
+        for steps in _tlt_paths(n):
+            yield steps
+            yield steps[:-1]
+    for h, w in product(range(9), repeat=2):
+        if h + w <= 8:
+            yield SOUTH * (h + 1) + WEST * (w + 1)
+    yield SOUTH
+    yield WEST
+
+
+def _shape_of(path):
+    return {name: getattr(path, name) for name in path_shape(path.steps)}
+
+
+def test_path_shape_matches_the_per_string_oracle():
+    for steps in _shape_cases():
+        p, want = BorderPath(steps), path_shape(steps)
+        assert _shape_of(p) == want, steps
+        assert (p.num_rows, p.num_cols) == (len(want["row_labels"]), len(want["col_labels"]))
+
+
+def test_an_evicted_path_equals_the_path_built_again():
+    first = BorderPath("SWSSWWWSW")
+    t = TreeLikeTableau(first, (0b10101, 0b1011, 0b100, 0b1))
+    # 4,097 distinct 13-step strings push it out of the 4,096-path cache
+    for inner in islice(product(SOUTH + WEST, repeat=13), 4097):
+        BorderPath("".join(inner))
+    again = BorderPath("SWSSWWWSW")
+    assert again is not first
+    assert again == first and hash(again) == hash(first) and repr(again) == repr(first)
+    assert _shape_of(again) == _shape_of(first) == path_shape("SWSSWWWSW")
+    assert TreeLikeTableau(again, t.rows) == t
