@@ -226,7 +226,7 @@ def _letter(value: int, pointed: bool) -> ColoredLetter:
     return ColoredLetter(value, pointed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ColoredWord:
     """An arrangement of pointed letters 0..h and unpointed letters 1..w.
 
@@ -238,13 +238,17 @@ class ColoredWord:
     h: int
     w: int
 
-    def __post_init__(self):
-        pointed = sorted(l.value for l in self.letters if l.pointed)
-        plain = sorted(l.value for l in self.letters if not l.pointed)
-        if self.h < 0 or pointed != list(range(self.h + 1)):
-            raise ValueError(f"pointed letters must be exactly 0..{self.h}")
-        if plain != list(range(1, self.w + 1)):
-            raise ValueError(f"unpointed letters must be exactly 1..{self.w}")
+    def __init__(self, letters: tuple[ColoredLetter, ...], h: int, w: int):
+        if not isinstance(letters, tuple):
+            raise ValueError("letters must be a tuple")
+        pointed = sorted(l.value for l in letters if l.pointed)
+        plain = sorted(l.value for l in letters if not l.pointed)
+        if h < 0 or pointed != list(range(h + 1)):
+            raise ValueError(f"pointed letters must be exactly 0..{h}")
+        if plain != list(range(1, w + 1)):
+            raise ValueError(f"unpointed letters must be exactly 1..{w}")
+        fields = self.__dict__
+        fields["letters"], fields["h"], fields["w"] = letters, h, w
 
     def text(self) -> str:
         return " ".join(l.token for l in self.letters)
@@ -387,23 +391,26 @@ def _word_unrank(h: int, w: int, index: int) -> tuple[ColoredLetter, ...]:
     return tuple(letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CycleForm:
     """Cycles written largest element first, listed by increasing maxima."""
 
     cycles: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        seen = sorted(chain.from_iterable(self.cycles))
+    def __init__(self, cycles: tuple[tuple[int, ...], ...]):
+        if not isinstance(cycles, tuple):
+            raise ValueError("cycles must be a tuple")
+        seen = sorted(chain.from_iterable(cycles))
         if seen != list(range(1, len(seen) + 1)):
             raise ValueError("cycles must partition 1..m")
         prev = 0
-        for cyc in self.cycles:
+        for cyc in cycles:
             if not cyc or cyc[0] != max(cyc):
                 raise ValueError("each cycle must start with its maximum")
             if cyc[0] <= prev:
                 raise ValueError("cycle maxima must increase")
             prev = cyc[0]
+        self.__dict__["cycles"] = cycles
 
     def text(self) -> str:
         return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in self.cycles)
@@ -451,7 +458,7 @@ def parse_cycle_form(s: str) -> CycleForm:
     return CycleForm(tuple(cycles))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MarkedRun:
     """A permutation with a marked position that is a run of size 1:
     strictly between larger-left and smaller-right, with sentinels n+1
@@ -460,14 +467,18 @@ class MarkedRun:
     perm: tuple[int, ...]
     k: int
 
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
+    def __init__(self, perm: tuple[int, ...], k: int):
+        if not isinstance(perm, tuple):
+            raise ValueError("perm must be a tuple")
+        n = len(perm)
+        if sorted(perm) != list(range(1, n + 1)):
             raise ValueError("not a permutation of 1..n")
-        if not 1 <= self.k <= n:
-            raise ValueError(f"mark {self.k} out of range")
-        if not is_run_of_size_1(self.perm, self.k):
-            raise ValueError(f"position {self.k} is not a run of size 1")
+        if not 1 <= k <= n:
+            raise ValueError(f"mark {k} out of range")
+        if not is_run_of_size_1(perm, k):
+            raise ValueError(f"position {k} is not a run of size 1")
+        fields = self.__dict__
+        fields["perm"], fields["k"] = perm, k
 
 
 # ---------------------------------------------------------------------------

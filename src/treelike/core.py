@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from operator import rshift
+from operator import getitem, rshift
 from typing import Iterator, NamedTuple
 
 SOUTH = "S"
@@ -96,7 +96,8 @@ class BorderPath:
     - `corner_cells`: the corners as (row label, column label);
     - `corner_grid_positions`: the corners as (row index, column index);
       each is the last cell of its row;
-    - `col_mask`: one bit per column, `(1 << num_cols) - 1`.
+    - `col_mask`: one bit per column, `(1 << num_cols) - 1`;
+    - `row_texts`: per family, each row's texts by mask, built at the first render.
     """
 
     steps: str
@@ -108,6 +109,13 @@ class BorderPath:
 
     def __reduce__(self):
         return BorderPath, (self.steps,)
+
+    @cached_property
+    def row_texts(self) -> dict:
+        return {
+            cls: tuple(t[lam] if lam <= 8 else _LongRow(t[8], lam) for lam in self.row_lengths)
+            for cls, t in _ROW_TABLES.items()
+        }
 
     @property
     def num_rows(self) -> int:
@@ -131,9 +139,9 @@ class TreeLikeTableau:
 
     Two degenerate size-0 values exist so that corner cutting is total: a
     single empty row (path "S") and a single empty column (path "W").
-    The constructor writes path and rows into `__dict__`, and `__post_init__`
-    checks them and puts `size`, the number of dots, beside them: not a field,
-    so equality, hashing and repr see path and rows only. It comes from the
+    The constructor checks path and rows as it writes them into `__dict__`,
+    and puts `size`, the number of dots, beside them: not a field, so
+    equality, hashing and repr see path and rows only. It comes from the
     path, not the rows: a valid tableau of n steps holds n - 1 dots.
     """
 
@@ -141,22 +149,22 @@ class TreeLikeTableau:
     rows: tuple[int, ...]
 
     def __init__(self, path: BorderPath, rows: tuple[int, ...]):
+        if not isinstance(path, BorderPath):
+            raise ValueError("path must be a BorderPath")
+        if not isinstance(rows, tuple):
+            raise ValueError("rows must be a tuple")
         fields = self.__dict__
         fields["path"], fields["rows"] = path, rows
-        self.__post_init__()
-
-    def __post_init__(self):
-        path, rows = self.path, self.rows
         steps = path.steps
         if steps == SOUTH:
             if rows != (0,):
                 raise ValueError("single-row degenerate tableau must be empty")
-            self.__dict__["size"] = 0
+            fields["size"] = 0
             return
         if steps == WEST:
             if rows != ():
                 raise ValueError("single-column degenerate tableau must be empty")
-            self.__dict__["size"] = 0
+            fields["size"] = 0
             return
         if steps[0] != SOUTH:
             raise ValueError("first step must be South")
@@ -165,9 +173,11 @@ class TreeLikeTableau:
         lengths = path.row_lengths
         if len(rows) != len(lengths):
             raise ValueError("row count does not match path")
-        # a negative mask shifts to -1, so one pass finds it too
-        if any(map(rshift, rows, lengths)):
-            raise ValueError("dot outside its row")
+        try:  # a negative mask shifts to -1, so one pass finds it too
+            if any(map(rshift, rows, lengths)):
+                raise ValueError("dot outside its row")
+        except TypeError:
+            raise ValueError("row masks must be integers") from None
         above = rows[0]
         if not above & 1:
             raise ValueError("top-left root cell must be dotted")
@@ -190,7 +200,7 @@ class TreeLikeTableau:
         if above != path.col_mask:
             raise ValueError("some column has no dot")
         # one parent per dot and full coverage leave rows + columns - 1 dots
-        self.__dict__["size"] = len(steps) - 1
+        fields["size"] = len(steps) - 1
 
     @property
     def is_degenerate(self) -> bool:
@@ -205,17 +215,23 @@ class PermutationTableau:
     path: BorderPath
     rows: tuple[int, ...]  # bitmask of the 1s per row
 
-    __init__ = TreeLikeTableau.__init__  # the same direct store of path and rows
-
-    def __post_init__(self):
-        path, rows = self.path, self.rows
+    def __init__(self, path: BorderPath, rows: tuple[int, ...]):
+        if not isinstance(path, BorderPath):
+            raise ValueError("path must be a BorderPath")
+        if not isinstance(rows, tuple):
+            raise ValueError("rows must be a tuple")
+        fields = self.__dict__
+        fields["path"], fields["rows"] = path, rows
         if path.steps[0] != SOUTH:
             raise ValueError("first step must be South")
         lengths = path.row_lengths
         if len(rows) != len(lengths):
             raise ValueError("row count does not match path")
-        if any(map(rshift, rows, lengths)):  # a negative mask shifts to -1
-            raise ValueError("1 outside its row")
+        try:  # a negative mask shifts to -1
+            if any(map(rshift, rows, lengths)):
+                raise ValueError("1 outside its row")
+        except TypeError:
+            raise ValueError("row masks must be integers") from None
         above = 0
         for r, (mask, lam) in enumerate(zip(rows, lengths)):
             # the 0-cells of the row that have a 1 above them and lie right
@@ -231,19 +247,18 @@ class PermutationTableau:
             raise ValueError("some column has no 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NonAmbiguousTree:
     """A rectangular tree-like tableau; height/width count rows/columns minus one."""
 
     tableau: TreeLikeTableau
 
-    def __post_init__(self):
-        t = self.tableau
-        if t.is_degenerate:
+    def __init__(self, tableau: TreeLikeTableau):
+        if tableau.is_degenerate:
             raise ValueError("tree must have at least one dot")
-        lengths = set(t.path.row_lengths)
-        if len(lengths) != 1:
+        if len(set(tableau.path.row_lengths)) != 1:
             raise ValueError("shape is not rectangular")
+        self.__dict__["tableau"] = tableau
 
     @property
     def height(self) -> int:
@@ -266,11 +281,8 @@ def first_col_points(rows: tuple[int, ...]) -> int:
 
 def stats_of(t: TreeLikeTableau) -> StatRecord:
     """All corner and first-row/first-column statistics of a tableau."""
-    occ = 0
     cor = len(t.path.corner_cells)
-    for r, c in t.path.corner_grid_positions:
-        if (t.rows[r] >> c) & 1:
-            occ += 1
+    occ = sum(t.rows[r] >> c & 1 for r, c in t.path.corner_grid_positions)
     fr = first_row_points(t.rows)
     fc = first_col_points(t.rows)
     return StatRecord(
@@ -639,24 +651,27 @@ _ROW_TABLES = {
 }
 
 
-def _path_and_lines(obj) -> tuple[str, list[str]]:
+@dataclass(frozen=True)
+class _LongRow:
+    """A row table for over 8 cells: a mask's text joins its 8-cell chunks' texts."""
+
+    table: tuple[str, ...]  # the family's 8-cell table
+    cells: int
+
+    def __getitem__(self, mask: int) -> str:
+        return "".join([self.table[mask >> c & 255] for c in range(0, self.cells, 8)])[: self.cells]
+
+
+def _lines(obj) -> list[str]:
     if isinstance(obj, NonAmbiguousTree):
         obj = obj.tableau
-    tables = _ROW_TABLES[type(obj)]
-    # a longer row joins its 8-cell chunks
-    lines = [
-        tables[lam][mask]
-        if lam <= 8
-        else "".join([tables[8][mask >> c & 255] for c in range(0, lam, 8)])[:lam]
-        for mask, lam in zip(obj.rows, obj.path.row_lengths)
-    ]
-    return obj.path.steps, lines
+    path = obj.path
+    return [path.steps, *map(getitem, path.row_texts[type(obj)], obj.rows)]
 
 
 def to_text(obj) -> str:
     """One path line then one line per row; dots are 'o', ones are '1'."""
-    steps, lines = _path_and_lines(obj)
-    return "\n".join([steps] + lines)
+    return "\n".join(_lines(obj))
 
 
 def _parse(text: str, cls):
@@ -700,5 +715,5 @@ def parse_nat(text: str) -> NonAmbiguousTree:
 
 
 def to_json(obj) -> str:
-    steps, lines = _path_and_lines(obj)
-    return json.dumps({"path": steps, "rows": lines}, separators=(",", ":"))
+    steps, *rows = _lines(obj)
+    return json.dumps({"path": steps, "rows": rows}, separators=(",", ":"))

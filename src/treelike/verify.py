@@ -85,16 +85,8 @@ def _corner_transfer_sweep(n):
 
 
 def _phi_roundtrip_sweep(n):
-    mm_t = sum(
-        1
-        for t in enumerate_tlt(n)
-        if bijections.pt_to_tlt(bijections.tlt_to_pt(t)) != t
-    )
-    mm_p = sum(
-        1
-        for p in enumerate_pt(n)
-        if bijections.tlt_to_pt(bijections.pt_to_tlt(p)) != p
-    )
+    mm_t = sum(1 for t in enumerate_tlt(n) if bijections.pt_to_tlt(bijections.tlt_to_pt(t)) != t)
+    mm_p = sum(1 for p in enumerate_pt(n) if bijections.tlt_to_pt(bijections.pt_to_tlt(p)) != p)
     return f"{mm_t};{mm_p}"
 
 
@@ -103,15 +95,12 @@ def _cut_roundtrip_sweep(n):
     for t in enumerate_tlt(n):
         for corner in t.path.corner_cells:
             t_l, t_r, nat = bijections.cut_at_corner(t, corner)
-            if t_l.size + t_r.size + 1 != n:
-                bad += 1
-                continue
-            fr_l = first_row_points(t_l.rows)
-            fc_r = first_col_points(t_r.rows)
-            if nat.width != fr_l or nat.height != fc_r:
-                bad += 1
-                continue
-            if bijections.glue(t_l, t_r, nat) != (t, corner):
+            if (
+                t_l.size + t_r.size + 1 != n
+                or nat.width != first_row_points(t_l.rows)
+                or nat.height != first_col_points(t_r.rows)
+                or bijections.glue(t_l, t_r, nat) != (t, corner)
+            ):
                 bad += 1
     return bad
 
@@ -123,12 +112,8 @@ def _all_marked_runs(n):
 
 
 def _run_roundtrip_sweep(n):
-    bad = 0
-    for mr in _all_marked_runs(n):
-        trip = bijections.run_to_triplet(mr)
-        if bijections.triplet_to_run(*trip) != mr:
-            bad += 1
-    return bad
+    runs = _all_marked_runs(n)
+    return sum(1 for mr in runs if bijections.triplet_to_run(*bijections.run_to_triplet(mr)) != mr)
 
 
 def _corner_run_sweep(n):

@@ -408,11 +408,11 @@ class TestCornerRun:
         built = Counter()
         for cls in (TreeLikeTableau, NonAmbiguousTree, CycleForm, ColoredWord, MarkedRun):
 
-            def counted(self, real=cls.__post_init__, name=cls.__name__):
+            def counted(self, *args, real=cls.__init__, name=cls.__name__):
                 built[name] += 1
-                real(self)
+                real(self, *args)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         tableaux = [t for n in range(1, 6) for t in enumerate_tlt(n)]
         for memo in (_PIECES, _TREES):
             memo.cache_clear()

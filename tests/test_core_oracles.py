@@ -11,6 +11,7 @@ they replaced are the oracles in `oracles.py`, held to the same rule.
 """
 
 import json
+import random
 from collections import Counter
 from itertools import islice, product
 
@@ -409,6 +410,23 @@ def test_rows_of_8_and_9_cells_match_per_cell_rendering():
         assert count == (255 if cls is TreeLikeTableau else 511)
 
 
+@pytest.mark.parametrize("w", [15, 16])
+def test_rows_of_16_and_17_cells_match_per_cell_rendering(w):
+    # the one tree of a single row of w + 1 cells, two and three 8-cell
+    # chunks, then the row's chunk-joined table in both families on masks
+    # that set every chunk's bits in many ways
+    (nat,) = enumerate_nat(0, w)
+    text = per_cell_text(nat.tableau, ".", "o")
+    assert to_text(nat) == text
+    assert json.loads(to_json(nat)) == {"path": nat.tableau.path.steps, "rows": text.split("\n")[1:]}
+    rng = random.Random(w)
+    masks = [0, (1 << w + 1) - 1, 0x15555 >> 16 - w] + [rng.getrandbits(w + 1) for _ in range(300)]
+    for cls, (empty, full) in ((TreeLikeTableau, ".o"), (PermutationTableau, "01")):
+        (texts,) = nat.tableau.path.row_texts[cls]
+        for mask in masks:
+            assert texts[mask] == per_cell_row(mask, w + 1, empty, full)
+
+
 # ---------------------------------------------------------------------------
 # the dense rank walks against the dict-table ones of `oracles`
 
@@ -496,3 +514,29 @@ def test_an_evicted_path_equals_the_path_built_again():
     assert again == first and hash(again) == hash(first) and repr(again) == repr(first)
     assert _shape_of(again) == _shape_of(first) == path_shape("SWSSWWWSW")
     assert TreeLikeTableau(again, t.rows) == t
+
+
+def test_an_evicted_path_renders_its_tableaux_as_before():
+    # a path holds its rows' texts, built at its first render: built again
+    # after eviction, it must render every tableau on it as before. Rows of
+    # 9 and 8 cells take the chunk-joined table and the 8-cell one.
+    cases = [
+        (TreeLikeTableau, tlt_fillings, "SWSSWWWSW"),
+        (TreeLikeTableau, tlt_fillings, "SWSWWWWWWWW"),
+        (PermutationTableau, pt_fillings, "SWSSWWWS"),
+        (PermutationTableau, pt_fillings, "SWSWWWWWWWW"),
+    ]
+
+    def rendered(cls, path, fillings):
+        objs = [cls(path, rows) for rows in fillings(path.row_lengths, path.num_cols)]
+        return [(obj.rows, to_text(obj), to_json(obj)) for obj in objs]
+
+    before = [(BorderPath(steps), rendered(cls, BorderPath(steps), f)) for cls, f, steps in cases]
+    nats = [(to_text(nat), to_json(nat)) for nat in enumerate_nat(2, 3)]
+    for inner in islice(product(SOUTH + WEST, repeat=13), 4097):
+        BorderPath("".join(inner))
+    for (cls, fillings, steps), (old, texts) in zip(cases, before):
+        again = BorderPath(steps)
+        assert again is not old
+        assert rendered(cls, again, fillings) == texts
+    assert [(to_text(nat), to_json(nat)) for nat in enumerate_nat(2, 3)] == nats
